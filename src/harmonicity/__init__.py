@@ -42,20 +42,11 @@ from .errors import (
     UsageError,
 )
 from .measures import (
-    MEASURE_NAMES,
-    MeasureVector,
-    brefeld_of_intervals,
-    brefeld_value,
+    MEASURES,
+    Measure,
     evaluate_measure,
-    gradus_of_ratios,
-    gradus_suavitatis,
-    measure_vector,
-    omega_measure,
-    omega_of_ratios,
     pairwise_intervals,
-    percentage_similarity,
     roughness_curve,
-    similarity_of_intervals,
 )
 from .periodicity import (
     AnalysisResult,
@@ -100,8 +91,8 @@ __all__ = [
     "Harmony",
     "HarmonicityError",
     "INTERVAL_NAMES",
-    "MEASURE_NAMES",
-    "MeasureVector",
+    "MEASURES",
+    "Measure",
     "ParseError",
     "REPRODUCTION_TARGETS",
     "RankTable",
@@ -117,8 +108,6 @@ __all__ = [
     "analyze",
     "approximate",
     "autocorrelation",
-    "brefeld_of_intervals",
-    "brefeld_value",
     "builtin_tuning",
     "correlate_measure",
     "detect_period",
@@ -127,18 +116,12 @@ __all__ = [
     "evaluate_measure",
     "fundamental_frequency",
     "golden_correlations",
-    "gradus_of_ratios",
-    "gradus_suavitatis",
     "inversion_offsets",
     "lcm_many",
     "load_dataset",
-    "measure_vector",
     "mediant_sequence",
-    "omega_measure",
-    "omega_of_ratios",
     "pairwise_intervals",
     "pearson",
-    "percentage_similarity",
     "prime_factor_multiset",
     "rank_table",
     "rank_with_ties",
@@ -150,6 +133,5 @@ __all__ = [
     "reproduce",
     "roughness_curve",
     "significance",
-    "similarity_of_intervals",
     "top_share_count",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .empirics import (
     reproduce,
 )
 from .errors import HarmonicityError, ParseError, UsageError
-from .measures import MEASURE_NAMES, measure_vector
+from .measures import MEASURES
 from .periodicity import (
     AnalysisResult,
     Harmony,
@@ -63,6 +64,10 @@ __all__ = ["PitchSpec", "main", "parse_pitch_spec"]
 #: Reference frequency of the lowest tone when the chord is given as bare
 #: semitone offsets: middle C in twelve-tone equal temperament at A4=440.
 DEFAULT_F1_HZ = 440.0 * 2.0 ** (-9.0 / 12.0)
+
+# Rival measures that ``analyze --measures all`` adds, with the digits each
+# is rounded to; gradus and omega are integers.
+_ANALYZE_EXTRAS = {"gradus": 0, "omega": 0, "brefeld": 6, "similarity": 2}
 
 _NOTE_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _ACCIDENTALS = {"": 0, "#": 1, "b": -1}
@@ -178,16 +183,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if f1 is None:
         f1 = DEFAULT_F1_HZ
     if args.measures == "all":
-        vector = measure_vector(spec.harmony, t)
-        result = dataclasses.replace(
-            result,
-            extras={
-                "gradus": vector.gradus,
-                "omega": vector.omega,
-                "brefeld": round(vector.brefeld, 6),
-                "similarity": round(vector.similarity, 2),
-            },
-        )
+        extras = {
+            name: round(MEASURES[name].compute(spec.harmony.semitones, t), digits)
+            for name, digits in _ANALYZE_EXTRAS.items()
+        }
+        result = dataclasses.replace(result, extras=extras)
     if args.format == "json":
         payload = result.to_json_dict()
         print(json.dumps(payload, indent=2))
@@ -253,7 +253,10 @@ def _cmd_tuning(args: argparse.Namespace) -> int:
 
 def _cmd_approximate(args: argparse.Namespace) -> int:
     text = args.value
-    target = Fraction(text) if "/" in text else float(text)
+    try:
+        target = Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"--value {text!r} is neither a number nor a fraction p/q") from None
     trace = approximate(target, args.precision)
     if args.format == "json":
         payload = {
@@ -323,6 +326,22 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # parser
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (not nan, not inf)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a number >= 0 (not nan)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -346,7 +365,7 @@ def _add_chord_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--f1",
-        type=float,
+        type=positive_float,
         default=None,
         metavar="HZ",
         help="frequency of the lowest tone (default: from pitch names, "
@@ -385,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="deviation bound when --tuning rational (default 0.01)",
     )
-    p.add_argument("--measure", choices=MEASURE_NAMES, default="log_periodicity")
+    p.add_argument("--measure", choices=tuple(MEASURES), default="log_periodicity")
     p.add_argument("--cardinality", type=int, default=None, help="tone count 1..12")
     p.add_argument("--top", type=int, default=None, help="truncate to the first rows")
     _add_format_flag(p)
@@ -439,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chord_flags(p)
     p.add_argument(
         "--horizon",
-        type=float,
+        type=positive_float,
         default=130.0,
         help="search horizon in lowest-tone periods (default 130)",
     )
     p.add_argument(
         "--tolerance",
-        type=float,
+        type=non_negative_float,
         default=1e-6,
         help="relative agreement tolerance (default 1e-6)",
     )

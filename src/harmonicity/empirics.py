@@ -36,12 +36,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError, UsageError
-from .measures import MEASURE_NAMES as COMPUTED_MEASURES
-from .measures import evaluate_measure
+from .measures import MEASURES, evaluate_measure
 from .tuning import TuningTable, builtin_tuning
 
 __all__ = [
-    "COMPUTED_MEASURES",
     "DATASET_IDS",
     "CorrelationReport",
     "DatasetItem",
@@ -97,21 +95,10 @@ _SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
 
 _EXPECTED_COUNTS = {"dyads": 13, "triads": 13, "complete_triads": 19, "church_modes": 7}
 
-# +1: larger value means more dissonant; -1: larger means more consonant.
-_MEASURE_ORIENTATION = {
-    "rel_periodicity": 1,
-    "log_periodicity": 1,
-    "log_periodicity_just": 1,
-    "log_periodicity_rational": 1,
-    "gradus": 1,
-    "omega": 1,
-    "brefeld": 1,
-    "similarity": -1,
-    "roughness": 1,
-    "instability": 1,
-    "sonance_factor": -1,
-    "dual_process": 1,
-}
+# Orientation of the static columns that grow with consonance; every other
+# static column grows with dissonance (+1).  Recomputed measures take their
+# orientation from the measure registry.
+_COLUMN_ORIENTATION = {"sonance_factor": -1, "similarity": -1}
 
 # Orientation of the ordinal rating column: dyads have none; triad ratings
 # grow with dissonance; church-mode ratings grow with preference.
@@ -425,7 +412,7 @@ def measure_values(
     different procedure), passing no tuning selects the column; passing a
     tuning recomputes.
     """
-    if measure in COMPUTED_MEASURES:
+    if measure in MEASURES:
         if t is not None:
             return [evaluate_measure(item.semitones, measure, t) for item in dataset.items]
         if measure not in dataset.static_columns:
@@ -457,8 +444,10 @@ def correlate_measure(
     if mode not in ("ranks", "values"):
         raise UsageError(f"mode must be 'ranks' or 'values', got {mode!r}")
     values = measure_values(dataset, measure, t)
-    orientation = _MEASURE_ORIENTATION.get(measure, 1)
-    tuning_name = t.name if (t is not None and measure in COMPUTED_MEASURES) else ""
+    if t is not None and measure in MEASURES:
+        orientation, tuning_name = MEASURES[measure].orientation, t.name
+    else:
+        orientation, tuning_name = _COLUMN_ORIENTATION.get(measure, 1), ""
 
     if mode == "ranks":
         x = rank_with_ties([item.empirical for item in dataset.items])

@@ -3,9 +3,9 @@
 A harmony within one octave is a subset of the semitones {0..11} that
 contains the root 0, so there are 2^11 = 2048 of them: C(11, k-1) per
 tone count k.  ``rank_table`` evaluates one consonance measure for every
-harmony of a category and sorts ascending (smaller = more consonant),
-breaking ties lexicographically by semitone tuple so output is
-byte-identical across runs.
+harmony of a category and sorts most consonant first, by the measure's
+orientation, breaking ties lexicographically by semitone tuple so output
+is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import UsageError
-from .measures import MEASURE_NAMES, evaluate_measure
+from .measures import evaluate_measure, lookup_measure
 from .periodicity import Harmony
 from .tuning import TuningTable
 
@@ -103,8 +103,8 @@ class RankTable:
         raise UsageError(f"harmony {harmony} is not in this table")
 
 
-# Harmonies that are transpositions of each other's inversions share values;
-# the cache also makes repeated tables over the same tuning instant.
+# Keyed by the exact tone tuple, so the cache serves repeated tables over
+# the same tuning.
 @lru_cache(maxsize=None)
 def _cached_value(tones: tuple[int, ...], measure: str, t: TuningTable) -> float:
     return evaluate_measure(tones, measure, t)
@@ -116,17 +116,15 @@ def rank_table(
     cardinality: int | None = None,
     top: int | None = None,
 ) -> RankTable:
-    """Evaluate ``measure`` for every enumerated harmony and rank ascending
-    (most consonant first).
+    """Evaluate ``measure`` for every enumerated harmony and rank most
+    consonant first, by the measure's orientation.
 
     Ranks are ordinal within each tone-count category; rows of a mixed
-    table (no cardinality filter) are globally sorted by value with the
+    table (no cardinality filter) are globally sorted the same way, with the
     per-category ranks attached.  ``top`` truncates to the first rows after
     sorting.
     """
-    if measure not in MEASURE_NAMES:
-        valid = ", ".join(MEASURE_NAMES)
-        raise UsageError(f"unknown measure {measure!r}; computable measures: {valid}")
+    orientation = lookup_measure(measure).orientation
     if top is not None and top < 1:
         raise UsageError(f"top must be >= 1, got {top!r}")
 
@@ -138,13 +136,16 @@ def rank_table(
     for harmony, value in evaluated:
         by_size.setdefault(len(harmony), []).append((harmony, value))
 
+    def most_consonant_first(pair: tuple[Harmony, float]) -> tuple:
+        return (orientation * pair[1], pair[0].semitones)
+
     ranks: dict[tuple[int, ...], int] = {}
     for group in by_size.values():
-        group.sort(key=lambda pair: (pair[1], pair[0].semitones))
+        group.sort(key=most_consonant_first)
         for position, (harmony, _) in enumerate(group, start=1):
             ranks[harmony.semitones] = position
 
-    ordered = sorted(evaluated, key=lambda pair: (pair[1], pair[0].semitones))
+    ordered = sorted(evaluated, key=most_consonant_first)
     if top is not None:
         ordered = ordered[:top]
     rows = tuple(

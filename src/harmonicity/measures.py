@@ -1,25 +1,24 @@
-"""Rival consonance measures computed from the same frequency ratios.
+"""Consonance measures computed from a harmony's frequency ratios.
 
-Four number-theoretic measures plus one parametric curve:
+:data:`MEASURES` is the one registry of computable measures: each entry
+gives the name, the function and which direction is consonant.
 
-* ``gradus_suavitatis`` — Euler's degree of softness of the product
-  ``lcm(numerators) * lcm(denominators)`` of the lowest-tone ratios.
-* ``omega_measure`` — number of prime factors, with multiplicity, of the
-  same product.
-* ``brefeld_value`` — geometric mean of all numerators and denominators
-  over the pairwise intervals of the harmony.
-* ``percentage_similarity`` — mean per-interval similarity
-  ``(a + b - 1) / (a * b)`` over the pairwise intervals, in percent.
-* ``roughness_curve`` — the standard parametric roughness shape
-  ``(x/a * exp(1 - x/a)) ** b``.
+* ``rel_periodicity`` / ``log_periodicity`` — inversion-averaged relative
+  periodicity h and mean log2 h (see :mod:`harmonicity.periodicity`).
+* ``similarity`` — mean per-interval ``(a + b - 1) / (a * b)`` of the
+  pairwise intervals, in percent; larger is more consonant.
+* ``gradus`` / ``omega`` — Euler's degree of softness and the prime-factor
+  count (with multiplicity) of ``lcm(numerators) * lcm(denominators)`` of
+  the lowest-tone ratios.
+* ``brefeld`` — geometric mean of all numerators and denominators of the
+  pairwise intervals.
 
-Pairwise intervals are mapped through the tuning by semitone *distance*
+Measures take raw tone offsets, duplicates allowed, which a
+:class:`~harmonicity.periodicity.Harmony` cannot represent.  Pairwise
+intervals are mapped by semitone *distance*
 (``ratio_for_semitone(t, n_j - n_i)``), not by dividing the two tones'
 ratios; in unequal tunings the two differ, and only the distance reading
-reproduces the reference similarity tables.  Ratio-level variants
-(``*_of_ratios`` / ``*_of_intervals``) are exposed for callers that work
-with explicit tone rows, including degenerate ones such as a doubled
-unison, which a :class:`~harmonicity.periodicity.Harmony` cannot represent.
+reproduces the reference similarity tables.
 """
 
 from __future__ import annotations
@@ -28,80 +27,35 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import UndefinedMeasureError, UsageError
-from .periodicity import Harmony, analyze, ratios_for
+from .periodicity import AnalysisResult, Harmony, analyze
 from .rationals import lcm_many, prime_factor_multiset
 from .tuning import TuningTable, ratio_for_semitone
 
 __all__ = [
-    "MEASURE_NAMES",
-    "MeasureVector",
-    "brefeld_of_intervals",
-    "brefeld_value",
+    "MEASURES",
+    "Measure",
     "evaluate_measure",
-    "gradus_of_ratios",
-    "gradus_suavitatis",
-    "measure_vector",
-    "omega_measure",
-    "omega_of_ratios",
+    "lookup_measure",
     "pairwise_intervals",
-    "percentage_similarity",
     "roughness_curve",
-    "similarity_of_intervals",
 ]
 
 
 @dataclass(frozen=True)
-class MeasureVector:
-    """All scalar measures of one harmony under one tuning."""
+class Measure:
+    """One consonance measure.
 
-    gradus: int
-    omega: int
-    brefeld: float
-    similarity: float
-
-
-def _ratio_product(ratios: Sequence[Fraction]) -> int:
-    return lcm_many([r.numerator for r in ratios]) * lcm_many(
-        [r.denominator for r in ratios]
-    )
-
-
-def gradus_of_ratios(ratios: Sequence[Fraction]) -> int:
-    """Euler's degree of softness of a list of lowest-tone ratios:
-    ``1 + sum(m_i * (p_i - 1))`` over the prime factorization
-    ``prod(p_i ** m_i)`` of ``lcm(numerators) * lcm(denominators)``."""
-    factors = prime_factor_multiset(_ratio_product(ratios))
-    return 1 + sum(m * (p - 1) for p, m in factors.items())
-
-
-def omega_of_ratios(ratios: Sequence[Fraction]) -> int:
-    """Number of prime factors, counted with multiplicity, of
-    ``lcm(numerators) * lcm(denominators)`` of the given ratios."""
-    factors = prime_factor_multiset(_ratio_product(ratios))
-    return sum(factors.values())
-
-
-def gradus_suavitatis(h: Harmony, t: TuningTable) -> int:
-    """Euler's degree of softness of the harmony's lowest-tone ratios.
-
-    >>> from .tuning import builtin_tuning
-    >>> gradus_suavitatis(Harmony((0, 7)), builtin_tuning("just"))
-    4
+    ``compute(tones, t)`` takes raw tone offsets (duplicates allowed, any
+    order) and a tuning; gradus and omega return ints.  ``orientation`` is
+    +1 when smaller values are more consonant and -1 when larger values are.
     """
-    return gradus_of_ratios(ratios_for(h, t))
 
-
-def omega_measure(h: Harmony, t: TuningTable) -> int:
-    """Prime-factor count (with multiplicity) of the harmony's ratio product.
-
-    >>> from .tuning import builtin_tuning
-    >>> omega_measure(Harmony((0, 4)), builtin_tuning("just"))
-    3
-    """
-    return omega_of_ratios(ratios_for(h, t))
+    name: str
+    compute: Callable[[Sequence[int], TuningTable], float]
+    orientation: int
 
 
 def pairwise_intervals(tones: Sequence[int], t: TuningTable) -> list[Fraction]:
@@ -119,45 +73,80 @@ def pairwise_intervals(tones: Sequence[int], t: TuningTable) -> list[Fraction]:
     ]
 
 
-def brefeld_of_intervals(intervals: Sequence[Fraction]) -> float:
-    """Geometric mean of all numerators and denominators of the given
-    interval ratios: the 2k-th root of their full product."""
-    if not intervals:
-        raise UndefinedMeasureError("brefeld value needs at least one interval")
+def _periodicity(tones: Sequence[int], t: TuningTable) -> AnalysisResult:
+    return analyze(Harmony(tuple(sorted(set(tones)))), t)
+
+
+def _ratio_product_factors(tones: Sequence[int], t: TuningTable) -> dict[int, int]:
+    """Prime factorization of ``lcm(numerators) * lcm(denominators)`` of the
+    tones' lowest-tone ratios."""
+    ratios = [ratio_for_semitone(t, n) for n in tones]
+    return prime_factor_multiset(
+        lcm_many(r.numerator for r in ratios) * lcm_many(r.denominator for r in ratios)
+    )
+
+
+def _gradus(tones: Sequence[int], t: TuningTable) -> int:
+    # 1 + sum(m_i * (p_i - 1)) over the factorization prod(p_i ** m_i)
+    return 1 + sum(m * (p - 1) for p, m in _ratio_product_factors(tones, t).items())
+
+
+def _omega(tones: Sequence[int], t: TuningTable) -> int:
+    return sum(_ratio_product_factors(tones, t).values())
+
+
+def _brefeld(tones: Sequence[int], t: TuningTable) -> float:
+    # the 2k-th root of the full product over k intervals
+    intervals = pairwise_intervals(tones, t)
     product = math.prod(r.numerator * r.denominator for r in intervals)
     return float(product) ** (1.0 / (2 * len(intervals)))
 
 
-def similarity_of_intervals(intervals: Sequence[Fraction]) -> float:
-    """Mean per-interval similarity ``(a + b - 1) / (a * b)`` in percent."""
-    if not intervals:
-        raise UndefinedMeasureError("percentage similarity needs at least one interval")
-    total = sum(
-        (Fraction(r.numerator + r.denominator - 1, r.numerator * r.denominator)
-         for r in intervals),
-        Fraction(0),
-    )
+def _similarity(tones: Sequence[int], t: TuningTable) -> float:
+    intervals = pairwise_intervals(tones, t)
+    total = sum(Fraction(r.numerator + r.denominator - 1, r.numerator * r.denominator)
+                for r in intervals)
     return float(total / len(intervals) * 100)
 
 
-def brefeld_value(h: Harmony, t: TuningTable) -> float:
-    """Brefeld's consonance value of the harmony's pairwise intervals.
+#: Every computable measure by name, in the order the CLI lists them.
+MEASURES: dict[str, Measure] = {
+    m.name: m
+    for m in (
+        Measure("rel_periodicity", lambda tones, t: _periodicity(tones, t).mean_h, 1),
+        Measure("log_periodicity", lambda tones, t: _periodicity(tones, t).mean_log_h, 1),
+        Measure("similarity", _similarity, -1),
+        Measure("gradus", _gradus, 1),
+        Measure("omega", _omega, 1),
+        Measure("brefeld", _brefeld, 1),
+    )
+}
+
+
+def lookup_measure(name: str) -> Measure:
+    """The registered measure called ``name``."""
+    try:
+        return MEASURES[name]
+    except KeyError:
+        valid = ", ".join(MEASURES)
+        raise UsageError(f"unknown measure {name!r}; computable measures: {valid}") from None
+
+
+def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> float:
+    """Value of one named measure for raw tone offsets under tuning ``t``.
 
     >>> from .tuning import builtin_tuning
-    >>> round(brefeld_value(Harmony((0, 7)), builtin_tuning("just")), 3)
+    >>> just = builtin_tuning("just")
+    >>> evaluate_measure((0, 7), "gradus", just)
+    4.0
+    >>> evaluate_measure((0, 4), "omega", just)
+    3.0
+    >>> round(evaluate_measure((0, 7), "brefeld", just), 3)
     2.449
-    """
-    return brefeld_of_intervals(pairwise_intervals(h.semitones, t))
-
-
-def percentage_similarity(h: Harmony, t: TuningTable) -> float:
-    """Mean pairwise similarity of the harmony, in percent.
-
-    >>> from .tuning import builtin_tuning
-    >>> round(percentage_similarity(Harmony((0, 4, 7)), builtin_tuning("just")), 2)
+    >>> round(evaluate_measure((0, 4, 7), "similarity", just), 2)
     46.67
     """
-    return similarity_of_intervals(pairwise_intervals(h.semitones, t))
+    return float(lookup_measure(measure).compute(tones, t))
 
 
 def roughness_curve(x: float, a: float, b: float = 2.0) -> float:
@@ -174,46 +163,3 @@ def roughness_curve(x: float, a: float, b: float = 2.0) -> float:
         raise UsageError(f"roughness_curve() needs x >= 0, got {x!r}")
     scaled = x / a
     return (scaled * math.exp(1.0 - scaled)) ** b
-
-
-def measure_vector(h: Harmony, t: TuningTable) -> MeasureVector:
-    """All scalar measures of ``h`` at once (for report columns)."""
-    return MeasureVector(
-        gradus=gradus_suavitatis(h, t),
-        omega=omega_measure(h, t),
-        brefeld=brefeld_value(h, t),
-        similarity=percentage_similarity(h, t),
-    )
-
-
-#: Names accepted by :func:`evaluate_measure` (smaller = more consonant for
-#: all of them except ``similarity``, where larger is more consonant).
-MEASURE_NAMES = (
-    "rel_periodicity",
-    "log_periodicity",
-    "similarity",
-    "gradus",
-    "omega",
-    "brefeld",
-)
-
-
-def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> float:
-    """Value of one named measure for raw tone offsets under tuning ``t``.
-
-    ``tones`` may contain duplicates (a doubled unison contributes a 1/1
-    pairwise interval and collapses for the periodicity measures).
-    """
-    if measure in ("rel_periodicity", "log_periodicity"):
-        result = analyze(Harmony(tuple(sorted(set(tones)))), t)
-        return result.mean_h if measure == "rel_periodicity" else result.mean_log_h
-    if measure == "similarity":
-        return similarity_of_intervals(pairwise_intervals(tones, t))
-    if measure == "brefeld":
-        return brefeld_of_intervals(pairwise_intervals(tones, t))
-    if measure == "gradus":
-        return float(gradus_of_ratios([ratio_for_semitone(t, n) for n in tones]))
-    if measure == "omega":
-        return float(omega_of_ratios([ratio_for_semitone(t, n) for n in tones]))
-    valid = ", ".join(MEASURE_NAMES)
-    raise UsageError(f"unknown measure {measure!r}; computable measures: {valid}")

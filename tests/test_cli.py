@@ -338,12 +338,31 @@ class TestReproduceCommand:
 
 
 class TestErrorHandling:
-    def test_domain_errors_exit_2_without_traceback(self, capsys):
-        code, out, err = run(capsys, ["analyze", "--chord", "0,4,X"])
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--chord", "0,4,X"], "error: token 3:"),
+        (["approximate", "--value", "1/0", "--precision", "0.01"], "error: --value '1/0'"),
+        (["approximate", "--value", "abc", "--precision", "0.01"], "error: --value 'abc'"),
+        (["approximate", "--value", "1/-2", "--precision", "0.01"], "error: --value '1/-2'"),
+        # flag values rejected by the parser itself
+        (["oracle", "--chord", "0,4,7", "--f1", "0"], "harmonicity oracle: error: argument --f1:"),
+        (["oracle", "--chord", "0,4,7", "--f1", "nan"], "harmonicity oracle: error: argument --f1:"),
+        (["analyze", "--chord", "0,4,7", "--f1", "0"], "harmonicity analyze: error: argument --f1:"),
+        (["oracle", "--chord", "0,4,7", "--horizon", "nan"],
+         "harmonicity oracle: error: argument --horizon:"),
+        (["oracle", "--chord", "0,4,7", "--tolerance", "-1"],
+         "harmonicity oracle: error: argument --tolerance:"),
+    ], ids=["chord-token", "value-1/0", "value-abc", "value-1/-2", "oracle-f1-0",
+            "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative"])
+    def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == ""
-        assert err.startswith("error: token 3:")
-        assert "Traceback" not in err
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(message)
+        assert "Traceback" not in captured.err
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from harmonicity import (
+    MEASURES,
     Harmony,
     UndefinedMeasureError,
     UsageError,
@@ -133,6 +134,24 @@ class TestRankTable:
         with pytest.raises(UndefinedMeasureError):
             rank_table(JUST, "similarity")
         assert len(rank_table(JUST, "similarity", cardinality=2).rows) == 11
+
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_rank_one_is_most_consonant_by_orientation(self, name):
+        orientation = MEASURES[name].orientation
+        # the one-tone category has a single row
+        for cardinality in range(2, 13):
+            rows = rank_table(JUST, name, cardinality).rows
+            best = min(orientation * row.value for row in rows)
+            assert rows[0].rank == 1
+            assert orientation * rows[0].value == best, cardinality
+
+    def test_similarity_ranks_larger_values_first(self):
+        rows = rank_table(JUST, "similarity", cardinality=3).rows
+        # {0,3,7} and {0,4,7} tie at 46.67; the tie breaks by semitone tuple
+        assert (rows[0].rank, rows[0].harmony.semitones) == (1, (0, 3, 7))
+        assert rows[0].value == pytest.approx(46.67, abs=0.005)
+        assert (rows[-1].rank, rows[-1].harmony.semitones) == (55, (0, 1, 2))
+        assert rows[-1].value == pytest.approx(15.74, abs=0.005)
 
 
 class TestTopShareCount:
