@@ -23,36 +23,29 @@ mismatches, 2 on usage errors (never a stack trace).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .enumeration import rank_table
 from .empirics import (
     DATASET_IDS,
     REPRODUCTION_TARGETS,
     correlate_measure,
-    correlation_csv_header,
     load_dataset,
     reproduce,
 )
 from .errors import HarmonicityError, ParseError, UsageError
 from .measures import MEASURES
-from .periodicity import (
-    AnalysisResult,
-    Harmony,
-    analyze,
-    csv_header,
-    fundamental_frequency,
-    ratios_for,
-)
+from .periodicity import Harmony, analyze, fundamental_frequency, ratios_for
 from .rationals import approximate
 from .signal_oracle import ToneStack, detect_period
 from .tuning import (
     BUILTIN_TUNING_NAMES,
+    INTERVAL_NAMES,
     TuningTable,
     builtin_tuning,
     deviation,
@@ -68,6 +61,9 @@ DEFAULT_F1_HZ = 440.0 * 2.0 ** (-9.0 / 12.0)
 # Rival measures that ``analyze --measures all`` adds, with the digits each
 # is rounded to; gradus and omega are integers.
 _ANALYZE_EXTRAS = {"gradus": 0, "omega": 0, "brefeld": 6, "similarity": 2}
+
+# Widest chord accepted, lowest to highest tone in semitones: the MIDI range.
+_MAX_SPAN = 127
 
 _NOTE_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _ACCIDENTALS = {"": 0, "#": 1, "b": -1}
@@ -106,6 +102,9 @@ def _parse_note_token(token: str, position: int) -> int:
 def parse_pitch_spec(text: str) -> PitchSpec:
     """Parse a chord given as semitone offsets or as pitch names.
 
+    The chord may span at most 127 semitones from its lowest to its
+    highest tone, the MIDI range; a wider chord raises :class:`ParseError`.
+
     >>> parse_pitch_spec("0,16,19").harmony.semitones
     (0, 16, 19)
     >>> spec = parse_pitch_spec("C3 E4 G4")
@@ -129,23 +128,30 @@ def parse_pitch_spec(text: str) -> PitchSpec:
                 "nor a pitch name"
             )
 
-    if all(is_offset(token) for token in tokens):
-        return PitchSpec(Harmony.from_offsets([int(t) for t in tokens]), None)
-    for position, token in enumerate(tokens, start=1):
-        if is_offset(token):
-            raise ParseError(
-                f"token {position}: {token!r} mixes offsets with pitch names"
-            )
+    names = not all(is_offset(token) for token in tokens)
+    if not names:
+        pitches = [int(token) for token in tokens]
+    else:
+        for position, token in enumerate(tokens, start=1):
+            if is_offset(token):
+                raise ParseError(
+                    f"token {position}: {token!r} mixes offsets with pitch names"
+                )
+        pitches = []
+        for position, token in enumerate(tokens, start=1):
+            note = _parse_note_token(token, position)
+            if note in pitches:
+                raise ParseError(f"token {position}: duplicate pitch {token!r}")
+            pitches.append(note)
 
-    midi: list[int] = []
-    for position, token in enumerate(tokens, start=1):
-        note = _parse_note_token(token, position)
-        if note in midi:
-            raise ParseError(f"token {position}: duplicate pitch {token!r}")
-        midi.append(note)
-    lowest = min(midi)
-    f1 = 440.0 * 2.0 ** ((lowest - 69) / 12.0)
-    return PitchSpec(Harmony.from_offsets([m - lowest for m in midi]), f1)
+    lowest = min(pitches)
+    span = max(pitches) - lowest
+    if span > _MAX_SPAN:
+        raise ParseError(
+            f"chord spans {span} semitones, more than the MIDI range of {_MAX_SPAN}"
+        )
+    f1 = 440.0 * 2.0 ** ((lowest - 69) / 12.0) if names else None
+    return PitchSpec(Harmony.from_offsets(pitches), f1)
 
 
 # --------------------------------------------------------------------------
@@ -160,57 +166,94 @@ def _resolve_tuning(name: str, precision: float | None = None) -> TuningTable:
     return builtin_tuning(name)
 
 
-def _print_analysis_text(result: AnalysisResult, t: TuningTable, f1: float) -> None:
-    ratios = ratios_for(result.harmony, t)
-    print(f"harmony: {result.harmony}")
-    print(f"tuning: {result.tuning}")
-    print("ratios:", " ".join(str(r) for r in ratios))
-    print(f"raw h: {result.raw_h}")
-    print("inversion h':", " ".join(str(v) for v in result.inversion_h))
-    print(f"mean h: {result.mean_h:.1f}")
-    print(f"mean log2 h: {result.mean_log_h:.3f}")
-    fundamental = fundamental_frequency(result.harmony, t, f1)
-    print(f"fundamental: {fundamental:.2f} Hz (lowest tone {f1:.2f} Hz)")
-    for key, value in result.extras.items():
-        print(f"{key}: {value}")
+def _emit(fmt: str, text: Callable[[], list[str]], csv: Callable[[], list[str]],
+          payload: Callable[[], object]) -> None:
+    """Print one result in the chosen ``--format``.
+
+    ``text`` and ``csv`` return the output lines, ``payload`` a JSON-ready
+    object; all three take no arguments and only the chosen one is called.
+    """
+    if fmt == "json":
+        print(json.dumps(payload(), indent=2))
+    else:
+        print("\n".join(text() if fmt == "text" else csv()))
+
+
+def _semitones(h: Harmony) -> str:
+    return ",".join(str(n) for n in h.semitones)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = parse_pitch_spec(args.chord)
     t = _resolve_tuning(args.tuning)
     result = analyze(spec.harmony, t, average_inversions=not args.no_inversions)
+    h = result.harmony
     f1 = args.f1 if args.f1 is not None else spec.reference_frequency
     if f1 is None:
         f1 = DEFAULT_F1_HZ
-    if args.measures == "all":
-        extras = {
-            name: round(MEASURES[name].compute(spec.harmony.semitones, t), digits)
-            for name, digits in _ANALYZE_EXTRAS.items()
-        }
-        result = dataclasses.replace(result, extras=extras)
-    if args.format == "json":
-        payload = result.to_json_dict()
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print(csv_header())
-        print(result.to_csv_row())
-    else:
-        _print_analysis_text(result, t, f1)
+    extras = {
+        name: round(MEASURES[name].compute(h.semitones, t), digits)
+        for name, digits in _ANALYZE_EXTRAS.items()
+    } if args.measures == "all" else {}
+    _emit(
+        args.format,
+        text=lambda: [
+            f"harmony: {h}",
+            f"tuning: {result.tuning}",
+            "ratios: " + " ".join(str(r) for r in ratios_for(h, t)),
+            f"raw h: {result.raw_h}",
+            "inversion h': " + " ".join(str(v) for v in result.inversion_h),
+            f"mean h: {result.mean_h:.1f}",
+            f"mean log2 h: {result.mean_log_h:.3f}",
+            f"fundamental: {fundamental_frequency(h, t, f1):.2f} Hz "
+            f"(lowest tone {f1:.2f} Hz)",
+        ] + [f"{key}: {value}" for key, value in extras.items()],
+        csv=lambda: [
+            "semitones;tuning;raw_h;mean_h;mean_log_h",
+            f"{_semitones(h)};{result.tuning};{result.raw_h};"
+            f"{result.mean_h:.1f};{result.mean_log_h:.3f}",
+        ],
+        payload=lambda: {
+            "harmony": {"semitones": list(h.semitones), "label": h.label},
+            "tuning": result.tuning,
+            "raw_h": result.raw_h,
+            "inversion_h": [str(v) for v in result.inversion_h],
+            "mean_h": result.mean_h,
+            "mean_log_h": result.mean_log_h,
+            **({"extras": extras} if extras else {}),
+        },
+    )
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     t = _resolve_tuning(args.tuning, args.precision)
     table = rank_table(t, args.measure, args.cardinality, args.top)
-    if args.format == "json":
-        print(json.dumps(table.to_json_dict(), indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        print(f"measure {table.measure}, tuning {table.tuning}, "
-              f"cardinality {table.cardinality if table.cardinality else 'all'}")
-        for row in table.rows:
-            print(f"{row.rank:5d}  {str(row.harmony):30s} {row.value:.6g}")
+    _emit(
+        args.format,
+        text=lambda: [
+            f"measure {table.measure}, tuning {table.tuning}, "
+            f"cardinality {table.cardinality or 'all'}"
+        ] + [f"{row.rank:5d}  {str(row.harmony):30s} {row.value:.6g}" for row in table.rows],
+        csv=lambda: ["rank;semitones;cardinality;value"] + [
+            f"{row.rank};{_semitones(row.harmony)};{len(row.harmony)};{row.value:.6g}"
+            for row in table.rows
+        ],
+        payload=lambda: {
+            "tuning": table.tuning,
+            "measure": table.measure,
+            "cardinality": table.cardinality,
+            "rows": [
+                {
+                    "rank": row.rank,
+                    "semitones": list(row.harmony.semitones),
+                    "cardinality": len(row.harmony),
+                    "value": row.value,
+                }
+                for row in table.rows
+            ],
+        },
+    )
     return 0
 
 
@@ -221,60 +264,86 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         correlate_measure(dataset, measure, t, args.mode)
         for measure in args.measure
     ]
-    if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
-    elif args.format == "csv":
-        print(correlation_csv_header())
-        for report in reports:
-            print(report.to_csv_row())
-    else:
-        for report in reports:
-            tuning_note = f" ({report.tuning})" if report.tuning else ""
-            print(
-                f"{report.dataset}: {report.measure}{tuning_note}, {report.mode}: "
-                f"r = {report.r:.3f}, p = {report.p:.4f} (n = {report.n})"
-            )
+    _emit(
+        args.format,
+        text=lambda: [
+            f"{r.dataset}: {r.measure}{f' ({r.tuning})' if r.tuning else ''}, "
+            f"{r.mode}: r = {r.r:.3f}, p = {r.p:.4f} (n = {r.n})"
+            for r in reports
+        ],
+        csv=lambda: ["dataset;measure;tuning;mode;n;r;p"] + [
+            f"{r.dataset};{r.measure};{r.tuning};{r.mode};{r.n};{r.r:.3f};{r.p:.4f}"
+            for r in reports
+        ],
+        payload=lambda: [
+            {
+                "dataset": r.dataset,
+                "measure": r.measure,
+                "tuning": r.tuning,
+                "mode": r.mode,
+                "n": r.n,
+                "r": r.r,
+                "p": r.p,
+            }
+            for r in reports
+        ],
+    )
     return 0
 
 
 def _cmd_tuning(args: argparse.Namespace) -> int:
     t = _resolve_tuning(args.name, args.precision)
-    if args.format == "json":
-        print(json.dumps(t.to_json_dict(), indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(t.to_csv())
-    else:
-        print(f"tuning: {t.name}")
+
+    def text() -> list[str]:
+        lines = [f"tuning: {t.name}"]
         for k, ratio in enumerate(t.ratios):
             shown = str(ratio) if t.is_rational else f"{float(ratio):.6f}"
-            print(f"{k:3d}  {shown:>8s}  {deviation(t, k):+.3f}%")
+            lines.append(f"{k:3d}  {shown:>8s}  {deviation(t, k):+.3f}%")
+        return lines
+
+    def csv() -> list[str]:
+        lines = ["semitone,interval_name,numerator,denominator,deviation_percent"]
+        for k, ratio in enumerate(t.ratios):
+            # equal temperament is irrational: no integer pair to print
+            pair = f"{ratio.numerator},{ratio.denominator}" if t.is_rational else ","
+            lines.append(f"{k},{INTERVAL_NAMES[k]},{pair},{deviation(t, k):.2f}")
+        return lines
+
+    _emit(
+        args.format,
+        text=text,
+        csv=csv,
+        payload=lambda: {
+            "name": t.name,
+            "ratios": [str(r) if t.is_rational else float(r) for r in t.ratios],
+            "deviation_bound": t.deviation_bound,
+        },
+    )
     return 0
 
 
 def _cmd_approximate(args: argparse.Namespace) -> int:
-    text = args.value
     try:
-        target = Fraction(text) if "/" in text else float(text)
+        target = Fraction(args.value) if "/" in args.value else float(args.value)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"--value {text!r} is neither a number nor a fraction p/q") from None
+        raise ParseError(f"--value {args.value!r} is neither a number nor a fraction p/q") from None
     trace = approximate(target, args.precision)
-    if args.format == "json":
-        payload = {
+    _emit(
+        args.format,
+        text=lambda: [f"{args.value} within {args.precision:g}: {trace.result}"] + (
+            ["mediants: " + " ".join(str(m) for m in trace.mediants)] if trace.mediants else []
+        ),
+        csv=lambda: ["step;numerator;denominator"] + [
+            f"{step};{m.numerator};{m.denominator}"
+            for step, m in enumerate(trace.mediants, start=1)
+        ] + [f"result;{trace.result.numerator};{trace.result.denominator}"],
+        payload=lambda: {
             "target": str(trace.target),
             "precision": trace.precision,
             "mediants": [str(m) for m in trace.mediants],
             "result": str(trace.result),
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print("step;numerator;denominator")
-        for step, mediant in enumerate(trace.mediants, start=1):
-            print(f"{step};{mediant.numerator};{mediant.denominator}")
-        print(f"result;{trace.result.numerator};{trace.result.denominator}")
-    else:
-        print(f"{text} within {args.precision:g}: {trace.result}")
-        if trace.mediants:
-            print("mediants:", " ".join(str(m) for m in trace.mediants))
+        },
+    )
     return 0
 
 
@@ -307,18 +376,47 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     report = reproduce(args.target, args.tuning)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    elif args.format == "csv":
-        print("name;kind;expected;computed;tolerance;ok")
-        for check in report.checks:
-            computed = "" if check.computed is None else f"{check.computed:.6g}"
-            print(
-                f"{check.name};{check.kind};{check.expected:.6g};{computed};"
-                f"{check.tolerance:g};{str(check.ok).lower()}"
-            )
-    else:
-        print(report.to_text())
+
+    def text() -> list[str]:
+        lines = [f"reproduction target: {report.target}"]
+        for c in report.checks:
+            if c.kind == "external":
+                note = f"published {c.expected:.4g} (external data; not recomputed)"
+            elif c.kind == "info":
+                note = (f"computed {c.computed:.4g}, published {c.expected:.4g} "
+                        "(info only; known pipeline difference)")
+            else:
+                note = (f"computed {c.computed:.4g}, published {c.expected:.4g} "
+                        f"(tolerance {c.tolerance:g}) {'ok' if c.ok else 'MISMATCH'}")
+            lines.append(f"  {c.name}: {note}")
+        summary = "PASS" if report.passed else f"FAIL ({len(report.failures)} mismatching checks)"
+        return lines + [f"result: {summary}"]
+
+    _emit(
+        args.format,
+        text=text,
+        csv=lambda: ["name;kind;expected;computed;tolerance;ok"] + [
+            f"{c.name};{c.kind};{c.expected:.6g};"
+            f"{'' if c.computed is None else format(c.computed, '.6g')};"
+            f"{c.tolerance:g};{str(c.ok).lower()}"
+            for c in report.checks
+        ],
+        payload=lambda: {
+            "target": report.target,
+            "passed": report.passed,
+            "checks": [
+                {
+                    "name": c.name,
+                    "expected": c.expected,
+                    "computed": c.computed,
+                    "tolerance": c.tolerance,
+                    "kind": c.kind,
+                    "ok": c.ok,
+                }
+                for c in report.checks
+            ],
+        },
+    )
     return 0 if report.passed else 1
 
 
@@ -355,7 +453,8 @@ def _add_chord_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chord",
         required=True,
-        help='semitone offsets ("0,4,7") or pitch names ("C4 E4 G4")',
+        help='semitone offsets ("0,4,7") or pitch names ("C4 E4 G4"), '
+        f"spanning at most {_MAX_SPAN} semitones",
     )
     parser.add_argument(
         "--tuning",

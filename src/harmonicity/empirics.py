@@ -378,28 +378,6 @@ class CorrelationReport:
     n: int
     p: float
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.dataset};{self.measure};{self.tuning};{self.mode};"
-            f"{self.n};{self.r:.3f};{self.p:.4f}"
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "measure": self.measure,
-            "tuning": self.tuning,
-            "mode": self.mode,
-            "n": self.n,
-            "r": self.r,
-            "p": self.p,
-        }
-
-
-def correlation_csv_header() -> str:
-    """Header row for :meth:`CorrelationReport.to_csv_row`."""
-    return "dataset;measure;tuning;mode;n;r;p"
-
 
 def measure_values(
     dataset: EmpiricalDataset, measure: str, t: TuningTable | None = None
@@ -646,43 +624,6 @@ class ReproductionReport:
     @property
     def failures(self) -> tuple[ReproductionCheck, ...]:
         return tuple(c for c in self.checks if not c.ok)
-
-    def to_text(self) -> str:
-        lines = [f"reproduction target: {self.target}"]
-        for check in self.checks:
-            if check.kind == "external":
-                lines.append(f"  {check.name}: published {check.expected:.4g} (external data; not recomputed)")
-            elif check.kind == "info":
-                lines.append(
-                    f"  {check.name}: computed {check.computed:.4g}, published "
-                    f"{check.expected:.4g} (info only; known pipeline difference)"
-                )
-            else:
-                verdict = "ok" if check.ok else "MISMATCH"
-                lines.append(
-                    f"  {check.name}: computed {check.computed:.4g}, published "
-                    f"{check.expected:.4g} (tolerance {check.tolerance:g}) {verdict}"
-                )
-        summary = "PASS" if self.passed else f"FAIL ({len(self.failures)} mismatching checks)"
-        lines.append(f"result: {summary}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "tolerance": c.tolerance,
-                    "kind": c.kind,
-                    "ok": c.ok,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def reproduce(target: str, tuning: str | None = None) -> ReproductionReport:

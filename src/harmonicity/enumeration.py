@@ -72,29 +72,6 @@ class RankTable:
     cardinality: int | None
     rows: tuple[RankedRow, ...]
 
-    def to_csv(self) -> str:
-        lines = ["rank;semitones;cardinality;value"]
-        for row in self.rows:
-            semis = ",".join(str(n) for n in row.harmony.semitones)
-            lines.append(f"{row.rank};{semis};{len(row.harmony)};{row.value:.6g}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tuning": self.tuning,
-            "measure": self.measure,
-            "cardinality": self.cardinality,
-            "rows": [
-                {
-                    "rank": row.rank,
-                    "semitones": list(row.harmony.semitones),
-                    "cardinality": len(row.harmony),
-                    "value": row.value,
-                }
-                for row in self.rows
-            ],
-        }
-
     def rank_of(self, harmony: Harmony) -> int:
         """Category rank of one harmony in this table."""
         for row in self.rows:

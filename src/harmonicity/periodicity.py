@@ -16,9 +16,9 @@ the final averaging step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import UsageError
 from .rationals import lcm_many
@@ -28,7 +28,6 @@ __all__ = [
     "AnalysisResult",
     "Harmony",
     "analyze",
-    "csv_header",
     "fundamental_frequency",
     "inversion_offsets",
     "ratios_for",
@@ -132,8 +131,7 @@ class AnalysisResult:
     ``inversion_h`` lists the rescaled values h'_j, one per reference tone
     (only j = 0 when inversion averaging is off); ``raw_h`` always equals
     ``inversion_h[0]``.  ``mean_h`` is their arithmetic mean and
-    ``mean_log_h`` the mean of their base-2 logs.  ``extras`` carries
-    optional named side measures filled in by callers.
+    ``mean_log_h`` the mean of their base-2 logs.
     """
 
     harmony: Harmony
@@ -142,42 +140,11 @@ class AnalysisResult:
     inversion_h: tuple[Fraction, ...]
     mean_h: float
     mean_log_h: float
-    extras: dict[str, float] = field(default_factory=dict)
 
     @property
     def exact_mean_h(self) -> Fraction:
         """The arithmetic mean of ``inversion_h`` as an exact fraction."""
         return sum(self.inversion_h, Fraction(0)) / len(self.inversion_h)
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready mapping mirroring the result fields."""
-        payload = {
-            "harmony": {
-                "semitones": list(self.harmony.semitones),
-                "label": self.harmony.label,
-            },
-            "tuning": self.tuning,
-            "raw_h": self.raw_h,
-            "inversion_h": [str(v) for v in self.inversion_h],
-            "mean_h": self.mean_h,
-            "mean_log_h": self.mean_log_h,
-        }
-        if self.extras:
-            payload["extras"] = dict(self.extras)
-        return payload
-
-    def to_csv_row(self) -> str:
-        """One CSV row matching :func:`csv_header`."""
-        semis = ",".join(str(n) for n in self.harmony.semitones)
-        return (
-            f"{semis};{self.tuning};{self.raw_h};"
-            f"{self.mean_h:.1f};{self.mean_log_h:.3f}"
-        )
-
-
-def csv_header() -> str:
-    """Header row for :meth:`AnalysisResult.to_csv_row`."""
-    return "semitones;tuning;raw_h;mean_h;mean_log_h"
 
 
 def analyze(h: Harmony, t: TuningTable, average_inversions: bool = True) -> AnalysisResult:

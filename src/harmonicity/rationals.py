@@ -29,9 +29,9 @@ __all__ = [
 
 Real = Union[int, float, Fraction]
 
-#: Fail-safe bound on recorded mediants; unreachable for any precision a
-#: caller can meaningfully ask for (even p = 1e-9 needs only ~1e9 *plain*
-#: steps, and the accelerated walk records far fewer than it skips).
+#: Bound on recorded mediants, which keeps memory bounded: a jumped run still
+#: records each of its steps, and runs grow long near an integer at a fine
+#: precision (x = 1.0000001 at p = 1e-9 would record about 10**7).
 _MAX_MEDIANTS = 1_000_000
 
 
@@ -149,31 +149,35 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
         mediants.append(step)
         if accepted(step):
             return ApproximationTrace(x, p, tuple(mediants), step)
-        if value(step) > x_max:
-            # The next k plain steps all move toward `left`; take them at once.
+        # The next k plain steps all move the same way; take them at once.
+        downward = value(step) > x_max
+        if downward:
             k = _run_length(
                 right.numerator - x_max * right.denominator,
                 x_max * left.denominator - left.numerator,
             )
-            node = step
-            for _ in range(k - 1):
-                node = _mediant(node, left)
-                mediants.append(node)
-            right = node
         else:
             k = _run_length(
                 x_min * left.denominator - left.numerator,
                 right.numerator - x_min * right.denominator,
             )
-            node = step
-            for _ in range(k - 1):
-                node = _mediant(node, right)
-                mediants.append(node)
+        if len(mediants) + k - 1 > _MAX_MEDIANTS:
+            break
+        node = step
+        for _ in range(k - 1):
+            node = _mediant(node, left if downward else right)
+            mediants.append(node)
+        if downward:
+            right = node
+        else:
             left = node
         # A run can end exactly on the interval edge; accept it there.
         if accepted(node):
             return ApproximationTrace(x, p, tuple(mediants), node)
-    raise RuntimeError("approximate() exceeded its mediant budget")
+    raise UsageError(
+        f"approximate() would record more than {_MAX_MEDIANTS} mediants at "
+        f"precision {p}; ask for a coarser precision"
+    )
 
 
 def _run_length(numerator: Real, denominator: Real) -> int:

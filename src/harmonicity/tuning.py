@@ -11,8 +11,6 @@ smallest-denominator fraction within 1% of its equal-tempered value.
 
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -78,32 +76,6 @@ class TuningTable:
     def is_rational(self) -> bool:
         """True when every ratio is an exact fraction."""
         return all(isinstance(r, Fraction) for r in self.ratios)
-
-    def to_csv(self) -> str:
-        """Render the table as CSV with one row per semitone."""
-        out = io.StringIO()
-        out.write("semitone,interval_name,numerator,denominator,deviation_percent\n")
-        for k, ratio in enumerate(self.ratios):
-            if isinstance(ratio, Fraction):
-                num, den = ratio.numerator, ratio.denominator
-            else:  # equal temperament: irrational, no integer pair
-                num, den = "", ""
-            out.write(
-                f"{k},{INTERVAL_NAMES[k]},{num},{den},{deviation(self, k):.2f}\n"
-            )
-        return out.getvalue()
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready mapping mirroring the table fields."""
-        if self.is_rational:
-            ratios = [str(r) for r in self.ratios]
-        else:
-            ratios = [float(r) for r in self.ratios]
-        return {
-            "name": self.name,
-            "ratios": ratios,
-            "deviation_bound": self.deviation_bound,
-        }
 
 
 def _table(name: str, pairs: list[tuple[int, int]]) -> TuningTable:

@@ -1,12 +1,16 @@
 """Command-line interface: chord parsing, subcommands, formats, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import harmonicity
 from harmonicity import ParseError
 from harmonicity.cli import DEFAULT_F1_HZ, main, parse_pitch_spec
 
@@ -22,6 +26,8 @@ class TestParsePitchSpec:
         spec = parse_pitch_spec("0,16,19")
         assert spec.harmony.semitones == (0, 16, 19)
         assert spec.reference_frequency is None
+        # the widest chord accepted spans the MIDI range, 127 semitones
+        assert parse_pitch_spec("-60,67").harmony.semitones == (0, 127)
 
     def test_offsets_with_spaces_and_negatives(self):
         spec = parse_pitch_spec("-12 0 7")
@@ -305,9 +311,10 @@ class TestOracleCommand:
 
 class TestReproduceCommand:
     def test_pass_target(self, capsys):
-        code, out, err = run(capsys, ["reproduce", "table6"])
-        assert code == 0
-        assert "result: PASS" in out
+        for target in ("table2", "table3", "table4", "table6", "cor3"):
+            code, out, err = run(capsys, ["reproduce", target])
+            assert code == 0
+            assert out.splitlines()[-1] == "result: PASS", target
 
     def test_failing_target(self, capsys):
         code, out, err = run(capsys, ["reproduce", "cor2"])
@@ -351,8 +358,16 @@ class TestErrorHandling:
          "harmonicity oracle: error: argument --horizon:"),
         (["oracle", "--chord", "0,4,7", "--tolerance", "-1"],
          "harmonicity oracle: error: argument --tolerance:"),
+        # inputs whose work would grow without bound: ~10**7 mediants, and
+        # Fraction(2) ** octaves for an offset of 10**11 semitones
+        (["approximate", "--value", "1.0000001", "--precision", "1e-9"],
+         "error: approximate() would record more than 1000000 mediants at precision 1e-09"),
+        (["analyze", "--chord", "C4 E4 G99999999999999999999"], "error: chord spans"),
+        (["analyze", "--chord", "0,100000000000"],
+         "error: chord spans 100000000000 semitones, more than the MIDI range of 127"),
     ], ids=["chord-token", "value-1/0", "value-abc", "value-1/-2", "oracle-f1-0",
-            "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative"])
+            "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative",
+            "approximate-budget", "chord-span-names", "chord-span-offsets"])
     def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
         try:
             code = main(argv)
@@ -375,16 +390,55 @@ class TestErrorHandling:
         assert excinfo.value.code == 2
 
 
+# One argv per subcommand that has --format; cor2 has rows without a
+# computed value (external data) and exits 1.
+FORMATTED = {
+    "analyze": ["analyze", "--chord", "C3 E4 G4", "--measures", "all"],
+    "rank": ["rank", "--cardinality", "3"],
+    "correlate": ["correlate", "--dataset", "triads", "--measure", "rel_periodicity",
+                  "--measure", "roughness", "--tuning", "none", "--mode", "values"],
+    "tuning": ["tuning", "equal"],
+    "approximate": ["approximate", "--value", "1.4142136", "--precision", "0.001"],
+    "reproduce": ["reproduce", "cor2"],
+}
+
+
+@pytest.mark.parametrize("argv", FORMATTED.values(), ids=FORMATTED.keys())
+def test_json_parses_and_csv_rows_match_header(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert code in (0, 1) and err == ""
+    json.loads(out)
+    code, out, err = run(capsys, [*argv, "--format", "csv"])
+    assert code in (0, 1) and err == ""
+    header, *rows = out.splitlines()
+    separator = ";" if ";" in header else ","
+    assert rows
+    assert all(row.count(separator) == header.count(separator) for row in rows)
+
+
 class TestInstalledEntryPoint:
-    def test_console_script(self):
-        executable = shutil.which("harmonicity")
-        if executable is None:
-            pytest.skip("console script not on PATH")
-        result = subprocess.run(
-            [executable, "analyze", "--chord", "0,4,7", "--format", "csv"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+    @pytest.mark.parametrize("launcher", ["console-script", "python-m"])
+    def test_console_script(self, launcher):
+        env = None
+        if launcher == "python-m":
+            command = [sys.executable, "-m", "harmonicity.cli"]
+            # the package's own source root, whatever the caller's environment
+            env = {**os.environ, "PYTHONPATH": str(Path(harmonicity.__file__).parents[1])}
+        else:
+            executable = shutil.which("harmonicity")
+            if executable is None:
+                pytest.skip("console script not on PATH")
+            command = [executable]
+
+        def launch(*argv):
+            return subprocess.run(
+                [*command, *argv], capture_output=True, text=True, timeout=60, env=env
+            )
+
+        result = launch("analyze", "--chord", "0,4,7", "--format", "csv")
         assert result.returncode == 0
         assert result.stdout.splitlines()[1] == "0,4,7;just;4;4.0;2.000"
+        result = launch("analyze", "--chord", "0,4,X")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: token 3:")
+        assert "Traceback" not in result.stderr

@@ -5,6 +5,7 @@ periodicities (the same oracle as the periodicity tests); category counts
 are binomial coefficients by construction.
 """
 
+import json
 import math
 
 import pytest
@@ -95,20 +96,20 @@ class TestRankTable:
     def test_determinism(self):
         first = rank_table(JUST, "rel_periodicity", cardinality=3)
         second = rank_table(JUST, "rel_periodicity", cardinality=3)
-        assert first.to_csv() == second.to_csv()
-        assert first.to_json_dict() == second.to_json_dict()
+        assert first.rows == second.rows
 
-    def test_csv_shape(self):
-        table = rank_table(JUST, "log_periodicity", cardinality=2)
-        lines = table.to_csv().splitlines()
+    def test_csv_shape(self, cli_stdout):
+        out = cli_stdout("rank", "--measure", "log_periodicity", "--cardinality", "2",
+                         "--format", "csv")
+        lines = out.splitlines()
         assert lines[0] == "rank;semitones;cardinality;value"
         assert lines[1] == "1;0,7;2;1"
         assert lines[3] == "3;0,9;2;1.58496"
         assert len(lines) == 12
 
-    def test_json_payload(self):
-        table = rank_table(JUST, "log_periodicity", cardinality=2, top=1)
-        payload = table.to_json_dict()
+    def test_json_payload(self, cli_stdout):
+        payload = json.loads(cli_stdout("rank", "--measure", "log_periodicity", "--cardinality",
+                                        "2", "--top", "1", "--format", "json"))
         assert payload["tuning"] == "just"
         assert payload["measure"] == "log_periodicity"
         assert payload["cardinality"] == 2

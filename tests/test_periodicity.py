@@ -1,5 +1,6 @@
 """Relative periodicity: harmonies, inversion averaging, worked values."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from harmonicity import (
     raw_periodicity,
     reduce_to_octave,
 )
-from harmonicity.periodicity import csv_header
 
 JUST = builtin_tuning("just")
 
@@ -179,13 +179,17 @@ class TestFundamental:
 
 
 class TestSerialization:
-    def test_csv(self):
-        result = analyze(Harmony((0, 3, 9)), JUST)
-        assert csv_header() == "semitones;tuning;raw_h;mean_h;mean_log_h"
-        assert result.to_csv_row() == "0,3,9;just;15;15.3;3.712"
+    """The CSV and JSON forms of an analysis, printed by ``analyze``."""
 
-    def test_json(self):
-        payload = analyze(Harmony((0, 3, 9)), JUST).to_json_dict()
+    def test_csv(self, cli_stdout):
+        out = cli_stdout("analyze", "--chord", "0,3,9", "--format", "csv")
+        assert out.splitlines() == [
+            "semitones;tuning;raw_h;mean_h;mean_log_h",
+            "0,3,9;just;15;15.3;3.712",
+        ]
+
+    def test_json(self, cli_stdout):
+        payload = json.loads(cli_stdout("analyze", "--chord", "0,3,9", "--format", "json"))
         assert payload["harmony"]["semitones"] == [0, 3, 9]
         assert payload["raw_h"] == 15
         assert payload["inversion_h"] == ["15", "25", "6"]

@@ -111,6 +111,9 @@ class TestApproximate:
             approximate(1.5, 0.0)
         with pytest.raises(UsageError):
             approximate(1.5, 1.5)
+        # ~10**7 mediants near an integer: refused before any run is stored
+        with pytest.raises(UsageError, match="mediants at precision 1e-09"):
+            approximate(1.0000001, 1e-9)
 
     def test_exact_fraction_mode(self):
         # Fraction input keeps the interval arithmetic exact

@@ -1,5 +1,6 @@
 """Tuning tables: built-ins, generated rational tuning, octave extension."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -176,19 +177,21 @@ class TestRatioForSemitone:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("name", BUILTIN_TUNING_NAMES)
-    def test_csv_has_stable_header(self, name):
-        text = builtin_tuning(name).to_csv()
-        header = text.splitlines()[0]
-        assert header == "semitone,interval_name,numerator,denominator,deviation_percent"
-        assert len(text.splitlines()) == 14
+    """The CSV and JSON forms of a tuning table, printed by ``tuning``."""
 
-    def test_equal_temperament_csv_leaves_fractions_empty(self):
-        row = builtin_tuning("equal").to_csv().splitlines()[2]
+    @pytest.mark.parametrize("name", BUILTIN_TUNING_NAMES)
+    def test_csv_has_stable_header(self, cli_stdout, name):
+        lines = cli_stdout("tuning", name, "--format", "csv").splitlines()
+        assert lines[0] == "semitone,interval_name,numerator,denominator,deviation_percent"
+        assert len(lines) == 14
+        assert [line.split(",")[1] for line in lines[1:]] == list(INTERVAL_NAMES)
+
+    def test_equal_temperament_csv_leaves_fractions_empty(self, cli_stdout):
+        row = cli_stdout("tuning", "equal", "--format", "csv").splitlines()[2]
         fields = row.split(",")
         assert fields[2] == "" and fields[3] == ""
 
-    def test_json_dict(self):
-        payload = builtin_tuning("just").to_json_dict()
+    def test_json_dict(self, cli_stdout):
+        payload = json.loads(cli_stdout("tuning", "just", "--format", "json"))
         assert payload["name"] == "just"
         assert payload["ratios"][7] == "3/2"
