@@ -62,7 +62,8 @@ DEFAULT_F1_HZ = 440.0 * 2.0 ** (-9.0 / 12.0)
 # is rounded to; gradus and omega are integers.
 _ANALYZE_EXTRAS = {"gradus": 0, "omega": 0, "brefeld": 6, "similarity": 2}
 
-# Widest chord accepted, lowest to highest tone in semitones: the MIDI range.
+# The MIDI range: pitch names must lie within notes 0.._MAX_SPAN, and no
+# chord may span more semitones from its lowest to its highest tone.
 _MAX_SPAN = 127
 
 _NOTE_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
@@ -103,7 +104,8 @@ def parse_pitch_spec(text: str) -> PitchSpec:
     """Parse a chord given as semitone offsets or as pitch names.
 
     The chord may span at most 127 semitones from its lowest to its
-    highest tone, the MIDI range; a wider chord raises :class:`ParseError`.
+    highest tone, the MIDI range, and pitch names must lie within MIDI
+    notes 0..127 (C-1..G9); other chords raise :class:`ParseError`.
 
     >>> parse_pitch_spec("0,16,19").harmony.semitones
     (0, 16, 19)
@@ -150,6 +152,13 @@ def parse_pitch_spec(text: str) -> PitchSpec:
         raise ParseError(
             f"chord spans {span} semitones, more than the MIDI range of {_MAX_SPAN}"
         )
+    if names:
+        for position, (token, note) in enumerate(zip(tokens, pitches), start=1):
+            if not 0 <= note <= _MAX_SPAN:
+                raise ParseError(
+                    f"token {position}: {token!r} lies outside MIDI notes 0..{_MAX_SPAN} "
+                    "(C-1..G9)"
+                )
     f1 = 440.0 * 2.0 ** ((lowest - 69) / 12.0) if names else None
     return PitchSpec(Harmony.from_offsets(pitches), f1)
 
@@ -454,7 +463,8 @@ def _add_chord_flags(parser: argparse.ArgumentParser) -> None:
         "--chord",
         required=True,
         help='semitone offsets ("0,4,7") or pitch names ("C4 E4 G4"), '
-        f"spanning at most {_MAX_SPAN} semitones",
+        f"spanning at most {_MAX_SPAN} semitones; pitch names lie within "
+        f"MIDI notes 0..{_MAX_SPAN} (C-1..G9)",
     )
     parser.add_argument(
         "--tuning",

@@ -109,27 +109,16 @@ def rank_table(
         (h, _cached_value(h.semitones, measure, t))
         for h in enumerate_harmonies(cardinality)
     ]
-    by_size: dict[int, list[tuple[Harmony, float]]] = {}
-    for harmony, value in evaluated:
-        by_size.setdefault(len(harmony), []).append((harmony, value))
-
-    def most_consonant_first(pair: tuple[Harmony, float]) -> tuple:
-        return (orientation * pair[1], pair[0].semitones)
-
-    ranks: dict[tuple[int, ...], int] = {}
-    for group in by_size.values():
-        group.sort(key=most_consonant_first)
-        for position, (harmony, _) in enumerate(group, start=1):
-            ranks[harmony.semitones] = position
-
-    ordered = sorted(evaluated, key=most_consonant_first)
-    if top is not None:
-        ordered = ordered[:top]
-    rows = tuple(
-        RankedRow(rank=ranks[harmony.semitones], harmony=harmony, value=value)
-        for harmony, value in ordered
-    )
-    return RankTable(tuning=t.name, measure=measure, cardinality=cardinality, rows=rows)
+    evaluated.sort(key=lambda pair: (orientation * pair[1], pair[0].semitones))
+    # The key is a total order, so numbering each tone count along this one
+    # sort gives the ranks a sort per category would.
+    counts: dict[int, int] = {}
+    rows = []
+    for harmony, value in evaluated[:top]:
+        counts[len(harmony)] = rank = counts.get(len(harmony), 0) + 1
+        rows.append(RankedRow(rank=rank, harmony=harmony, value=value))
+    return RankTable(tuning=t.name, measure=measure, cardinality=cardinality,
+                     rows=tuple(rows))
 
 
 def top_share_count(category_size: int, fraction: float) -> int:

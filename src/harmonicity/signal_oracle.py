@@ -5,19 +5,19 @@ autocorrelation ``rho(tau) = 1/2 * sum(cos(w_i tau))`` in the limit of an
 infinite window — phases drop out entirely.  ``rho`` attains its global
 maximum ``k/2`` exactly at the lags where every tone completes a whole
 number of cycles, so the first such lag is the period of the compound
-signal.  :func:`detect_period` finds that lag numerically, from the signal
-alone, without consulting any ratio arithmetic — which makes it an
-independent check of the lcm-based period: for exact frequency ratios
-``a_i/b_i`` the detected lag must be ``lcm(b_i)`` periods of the lowest
-tone (equivalently, the stack's least common overtone is ``lcm(a_i)``
-times the lowest frequency).
+signal.  The lowest tone is one of those cycles, so every such lag is a
+whole multiple of its period: :func:`detect_period` evaluates ``rho`` on
+that lattice, from the signal alone, without consulting any ratio
+arithmetic — which makes it an independent check of the lcm-based period:
+for exact frequency ratios ``a_i/b_i`` the detected lag must be
+``lcm(b_i)`` periods of the lowest tone (equivalently, the stack's least
+common overtone is ``lcm(a_i)`` times the lowest frequency).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,10 @@ __all__ = [
     "detect_period",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Most lags x tones that :func:`detect_period` evaluates: 32 MB of float64
+#: for the product and its cosine, enough for a Pythagorean chromatic
+#: cluster (h = 124416, 12 tones).
+_MAX_LATTICE_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -86,72 +89,35 @@ def autocorrelation_grid(s: ToneStack, taus: np.ndarray) -> np.ndarray:
     return 0.5 * np.cos(np.outer(np.asarray(taus, dtype=float), omegas)).sum(axis=1)
 
 
-def detect_period(
-    s: ToneStack,
-    search_horizon: float = 130.0,
-    grid_step: float | None = None,
-) -> float | None:
+def detect_period(s: ToneStack, search_horizon: float = 130.0) -> float | None:
     """Find the period of the stack from its autocorrelation alone.
 
-    Scans lags up to ``search_horizon`` periods of the lowest tone on a
-    regular grid, polishes each promising local maximum by golden-section
-    search, and returns the smallest polished lag whose autocorrelation
-    comes within ``1e-9 * k`` of the zero-lag value — the first full-height
-    recurrence.  Returns ``None`` when no lag qualifies, which signals
-    irrational frequency ratios or a horizon shorter than the true period.
+    ``rho`` reaches ``k/2`` only where every cosine is 1, the lowest tone's
+    included, so every full-height recurrence lies on a whole multiple
+    ``m * T1`` of the lowest period.  Scans ``m = 1 .. floor(search_horizon)``
+    and returns the smallest multiple whose autocorrelation comes within
+    ``1e-9 * k`` of the zero-lag value.  Returns ``None`` when no multiple
+    qualifies, which signals irrational frequency ratios or a horizon
+    shorter than the true period.  The scan costs one cosine per tone and
+    lag; a horizon whose lattice exceeds ``_MAX_LATTICE_CELLS`` raises
+    :class:`UsageError`.
+
+    >>> detect_period(ToneStack((440.0, 550.0, 660.0))) == 4 / 440
+    True
     """
-    if search_horizon < 1:
+    if not search_horizon >= 1:
         raise UsageError(
             f"detect_period() needs a horizon of at least 1 lowest-tone period, "
             f"got {search_horizon!r}"
         )
-    shortest_period = 1.0 / s.frequencies[-1]
-    if grid_step is None:
-        grid_step = min(s.lowest_period / 1000.0, shortest_period / 20.0)
-    elif grid_step <= 0 or grid_step > shortest_period / 20.0:
+    k = len(s.frequencies)
+    max_horizon = _MAX_LATTICE_CELLS // k
+    if search_horizon >= max_horizon + 1:
         raise UsageError(
-            f"grid_step must be in (0, {shortest_period / 20.0:.3e}] "
-            f"(a twentieth of the shortest period), got {grid_step!r}"
+            f"a horizon of {search_horizon:g} lowest-tone periods exceeds the "
+            f"oracle's budget of {_MAX_LATTICE_CELLS} lattice cells (horizon x tones); "
+            f"the largest horizon for {k} tones is {max_horizon}"
         )
-
-    peak = 0.5 * len(s.frequencies)
-    epsilon = 1e-9 * len(s.frequencies)
-    taus = np.arange(grid_step, search_horizon * s.lowest_period + grid_step, grid_step)
-    rho = autocorrelation_grid(s, taus)
-
-    # A grid point within half a step of a full-height peak can fall short of
-    # it by up to the quadratic sag below; only such points need polishing.
-    omega_sq = math.fsum(w * w for w in s.angular_frequencies)
-    sag = 0.25 * omega_sq * (0.5 * grid_step) ** 2
-    threshold = peak - epsilon
-
-    candidates = np.flatnonzero(rho >= threshold - sag)
-    for i in candidates:
-        lo = taus[i] - grid_step
-        hi = taus[i] + grid_step
-        polished = _golden_section_max(lambda t: autocorrelation(s, t), max(lo, 0.0), hi)
-        if autocorrelation(s, polished) >= threshold:
-            return polished
-    return None
-
-
-def _golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, iterations: int = 90
-) -> float:
-    """Locate the maximum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if b - a <= 1e-15 * max(1.0, b):
-            break
-    return 0.5 * (a + b)
+    taus = s.lowest_period * np.arange(1, math.floor(search_horizon) + 1)
+    hits = np.flatnonzero(autocorrelation_grid(s, taus) >= 0.5 * k - 1e-9 * k)
+    return float(taus[hits[0]]) if hits.size else None

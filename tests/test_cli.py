@@ -302,6 +302,24 @@ class TestOracleCommand:
         assert code == 0
         assert "f1 = 440.00 Hz" in out
 
+    def test_pythagorean_chromatic_within_address_space_cap(self):
+        # h = 124416 lowest-tone periods; the lattice holds 130000 x 12 cells
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonicity.cli", "oracle",
+             "--chord", "0,1,2,3,4,5,6,7,8,9,10,11", "--tuning", "pythagorean",
+             "--horizon", "130000"],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+            env={**os.environ, "PYTHONPATH": str(Path(harmonicity.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "h = 124416" in proc.stdout
+        assert "(agree at" in proc.stdout
+
     def test_short_horizon_fails(self, capsys):
         code, out, err = run(capsys, ["oracle", "--chord", "0,1",
                                       "--horizon", "10"])
@@ -365,9 +383,20 @@ class TestErrorHandling:
         (["analyze", "--chord", "C4 E4 G99999999999999999999"], "error: chord spans"),
         (["analyze", "--chord", "0,100000000000"],
          "error: chord spans 100000000000 semitones, more than the MIDI range of 127"),
+        # a lattice of 1e300 lags; pitch names whose float reference
+        # frequency would overflow, or underflow to 0 Hz
+        (["oracle", "--chord", "0,4,7", "--horizon", "1e300"],
+         "error: a horizon of 1e+300 lowest-tone periods exceeds the oracle's budget "
+         "of 2000000 lattice cells (horizon x tones); the largest horizon for 3 tones "
+         "is 666666"),
+        (["analyze", "--chord", "C99999999999999999999 D99999999999999999999"],
+         "error: token 1: 'C99999999999999999999' lies outside MIDI notes 0..127"),
+        (["oracle", "--chord", "C-99999999999999999999 D-99999999999999999999"],
+         "error: token 1: 'C-99999999999999999999' lies outside MIDI notes 0..127"),
     ], ids=["chord-token", "value-1/0", "value-abc", "value-1/-2", "oracle-f1-0",
             "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative",
-            "approximate-budget", "chord-span-names", "chord-span-offsets"])
+            "approximate-budget", "chord-span-names", "chord-span-offsets",
+            "horizon-budget", "note-above-midi", "note-below-midi"])
     def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
         try:
             code = main(argv)

@@ -153,30 +153,22 @@ class TestDetectPeriod:
         with pytest.raises(UsageError):
             detect_period(ToneStack((440.0,)), search_horizon=0.5)
 
-    def test_grid_step_validation(self):
-        stack = ToneStack((440.0, 660.0))
-        with pytest.raises(UsageError):
-            detect_period(stack, grid_step=0.0)
-        with pytest.raises(UsageError):
-            # coarser than a twentieth of the shortest period
-            detect_period(stack, grid_step=1.0 / 660.0)
-
-    def test_explicit_grid_step(self):
-        stack = ToneStack((440.0, 660.0))
-        period = detect_period(stack, grid_step=(1.0 / 660.0) / 40.0)
-        assert period == pytest.approx(2.0 / 440.0, rel=1e-7)
-
-    def test_agreement_with_lcm_periodicity(self):
+    @pytest.mark.parametrize("tuning", ["just", "rational", "pythagorean", "kirnberger3"])
+    def test_agreement_with_lcm_periodicity(self, tuning):
         # two independent channels: signal autocorrelation peak vs the
-        # ratio-arithmetic period, over a fixed random sample of harmonies
+        # ratio-arithmetic period, over a fixed random sample of harmonies;
+        # the horizon is the default 130, or one lowest-tone period past a
+        # longer predicted period
+        t = builtin_tuning(tuning)
         rng = random.Random(20260814)
         f1 = 220.0
         for _ in range(20):
             size = rng.randint(1, 5)
             tones = (0,) + tuple(sorted(rng.sample(range(1, 12), size - 1)))
             harmony = Harmony(tones)
-            expected = raw_periodicity(harmony, JUST) / f1
-            stack = ToneStack.from_harmony(harmony, JUST, f1)
-            period = detect_period(stack)
+            raw_h = raw_periodicity(harmony, t)
+            expected = raw_h / f1
+            stack = ToneStack.from_harmony(harmony, t, f1)
+            period = detect_period(stack, search_horizon=max(130.0, raw_h + 1))
             assert period is not None, tones
             assert abs(period - expected) / expected <= 1e-6, tones
