@@ -46,7 +46,6 @@ from .measures import (
     Measure,
     evaluate_measure,
     pairwise_intervals,
-    roughness_curve,
 )
 from .periodicity import (
     AnalysisResult,
@@ -56,7 +55,6 @@ from .periodicity import (
     inversion_offsets,
     ratios_for,
     raw_periodicity,
-    reduce_to_octave,
 )
 from .rationals import (
     ApproximationTrace,
@@ -129,9 +127,7 @@ __all__ = [
     "ratios_for",
     "rational_tuning",
     "raw_periodicity",
-    "reduce_to_octave",
     "reproduce",
-    "roughness_curve",
     "significance",
     "top_share_count",
 ]

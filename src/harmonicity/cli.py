@@ -223,7 +223,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"{result.mean_h:.1f};{result.mean_log_h:.3f}",
         ],
         payload=lambda: {
-            "harmony": {"semitones": list(h.semitones), "label": h.label},
+            "harmony": {"semitones": list(h.semitones), "label": None},
             "tuning": result.tuning,
             "raw_h": result.raw_h,
             "inversion_h": [str(v) for v in result.inversion_h],

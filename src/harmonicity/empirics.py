@@ -59,37 +59,21 @@ __all__ = [
 
 DATASET_IDS = ("dyads", "triads", "complete_triads", "church_modes")
 
-# Column layout of each dataset file: (name, format spec) after the fixed
-# label;semitones;empirical prefix.  "d" formats as an integer.
-_SCHEMAS: dict[str, tuple[tuple[str, str], ...]] = {
-    "dyads": (
-        ("roughness", ".4f"),
-        ("sonance_factor", ".3f"),
-        ("similarity", ".2f"),
-        ("rel_periodicity", ".1f"),
-    ),
+# Column names of each dataset file after the fixed
+# label;semitones;empirical prefix.
+_SCHEMAS: dict[str, tuple[str, ...]] = {
+    "dyads": ("roughness", "sonance_factor", "similarity", "rel_periodicity"),
     "triads": (
-        ("rating", ".3f"),
-        ("roughness", ".4f"),
-        ("instability", ".3f"),
-        ("similarity", ".2f"),
-        ("rel_periodicity", ".1f"),
-        ("dual_process", "d"),
+        "rating", "roughness", "instability", "similarity", "rel_periodicity",
+        "dual_process",
     ),
     "complete_triads": (
-        ("rating", ".3f"),
-        ("roughness", ".4f"),
-        ("similarity", ".2f"),
-        ("rel_periodicity", ".1f"),
-        ("log_periodicity", ".3f"),
-        ("dual_process", "d"),
+        "rating", "roughness", "similarity", "rel_periodicity", "log_periodicity",
+        "dual_process",
     ),
     "church_modes": (
-        ("rating", ".2f"),
-        ("sonance_factor", ".3f"),
-        ("similarity", ".2f"),
-        ("log_periodicity_just", ".3f"),
-        ("log_periodicity_rational", ".3f"),
+        "rating", "sonance_factor", "similarity", "log_periodicity_just",
+        "log_periodicity_rational",
     ),
 }
 
@@ -132,32 +116,6 @@ class EmpiricalDataset:
                 f"dataset {self.id!r} has no column {name!r}; available: {valid}"
             ) from None
 
-    def to_csv(self) -> str:
-        """Serialize back to the exact on-disk CSV form."""
-        schema = _SCHEMAS[self.id]
-        lines = [f"# harmonicity dataset: {self.id} v1"]
-        lines.append(";".join(["label", "semitones", "empirical"] + [c for c, _ in schema]))
-        for row, item in enumerate(self.items):
-            cells = [
-                item.label,
-                ",".join(str(n) for n in item.semitones),
-                _format_rank(item.empirical),
-            ]
-            for name, spec in schema:
-                value = self.static_columns[name][row]
-                if value is None:
-                    cells.append("")
-                elif spec == "d":
-                    cells.append(str(int(value)))
-                else:
-                    cells.append(format(value, spec))
-            lines.append(";".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def _format_rank(value: float) -> str:
-    return str(int(value)) if value == int(value) else format(value, ".1f")
-
 
 def _data_text(dataset_id: str) -> str:
     override = os.environ.get("HARMONY_DATA_DIR")
@@ -191,12 +149,12 @@ def load_dataset(dataset_id: str) -> EmpiricalDataset:
             f"dataset {dataset_id!r}: missing or wrong version marker "
             f"(expected '# harmonicity dataset: {dataset_id} v1')"
         )
-    expected_header = ";".join(["label", "semitones", "empirical"] + [c for c, _ in schema])
+    expected_header = ";".join(("label", "semitones", "empirical") + schema)
     if len(lines) < 2 or lines[1] != expected_header:
         raise DataError(f"dataset {dataset_id!r}: header does not match schema")
 
     items: list[DatasetItem] = []
-    columns: dict[str, list[float | None]] = {name: [] for name, _ in schema}
+    columns: dict[str, list[float | None]] = {name: [] for name in schema}
     for number, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -209,7 +167,7 @@ def load_dataset(dataset_id: str) -> EmpiricalDataset:
         try:
             semitones = tuple(int(s) for s in cells[1].split(","))
             empirical = float(cells[2])
-            for (name, _), cell in zip(schema, cells[3:]):
+            for name, cell in zip(schema, cells[3:]):
                 columns[name].append(float(cell) if cell else None)
         except ValueError as exc:
             raise DataError(f"dataset {dataset_id!r} line {number}: {exc}") from exc

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -80,11 +79,10 @@ class RankTable:
         raise UsageError(f"harmony {harmony} is not in this table")
 
 
-# Keyed by the exact tone tuple, so the cache serves repeated tables over
-# the same tuning.
-@lru_cache(maxsize=None)
-def _cached_value(tones: tuple[int, ...], measure: str, t: TuningTable) -> float:
-    return evaluate_measure(tones, measure, t)
+# One dict of values per (tuning, measure), keyed by the exact tone tuple:
+# repeated tables over the same tuning hash the tuning once per call, not
+# once per harmony.
+_VALUES: dict[tuple[TuningTable, str], dict[tuple[int, ...], float]] = {}
 
 
 def rank_table(
@@ -105,10 +103,12 @@ def rank_table(
     if top is not None and top < 1:
         raise UsageError(f"top must be >= 1, got {top!r}")
 
-    evaluated = [
-        (h, _cached_value(h.semitones, measure, t))
-        for h in enumerate_harmonies(cardinality)
-    ]
+    values = _VALUES.setdefault((t, measure), {})
+    evaluated = []
+    for h in enumerate_harmonies(cardinality):
+        if h.semitones not in values:
+            values[h.semitones] = evaluate_measure(h.semitones, measure, t)
+        evaluated.append((h, values[h.semitones]))
     evaluated.sort(key=lambda pair: (orientation * pair[1], pair[0].semitones))
     # The key is a total order, so numbering each tone count along this one
     # sort gives the ranks a sort per category would.

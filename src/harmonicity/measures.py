@@ -40,7 +40,6 @@ __all__ = [
     "evaluate_measure",
     "lookup_measure",
     "pairwise_intervals",
-    "roughness_curve",
 ]
 
 
@@ -147,19 +146,3 @@ def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> floa
     46.67
     """
     return float(lookup_measure(measure).compute(tones, t))
-
-
-def roughness_curve(x: float, a: float, b: float = 2.0) -> float:
-    """Parametric roughness shape ``(x/a * exp(1 - x/a)) ** b``.
-
-    Zero at ``x = 0``, maximum 1 at ``x = a``, decaying beyond; ``b``
-    controls the width of the peak (2 gives the standard curve).
-    """
-    if a <= 0:
-        raise UsageError(f"roughness_curve() needs a > 0, got {a!r}")
-    if b <= 0:
-        raise UsageError(f"roughness_curve() needs b > 0, got {b!r}")
-    if x < 0:
-        raise UsageError(f"roughness_curve() needs x >= 0, got {x!r}")
-    scaled = x / a
-    return (scaled * math.exp(1.0 - scaled)) ** b

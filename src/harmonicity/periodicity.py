@@ -32,7 +32,6 @@ __all__ = [
     "inversion_offsets",
     "ratios_for",
     "raw_periodicity",
-    "reduce_to_octave",
 ]
 
 
@@ -45,7 +44,6 @@ class Harmony:
     """
 
     semitones: tuple[int, ...]
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.semitones) < 1:
@@ -63,7 +61,7 @@ class Harmony:
             raise UsageError(f"harmony offsets must be integers, got {self.semitones}")
 
     @classmethod
-    def from_offsets(cls, offsets: Iterable[int], label: str | None = None) -> "Harmony":
+    def from_offsets(cls, offsets: Iterable[int]) -> "Harmony":
         """Build a harmony from arbitrary integer pitches, shifting them so
         the lowest becomes 0.  Duplicate pitches are rejected."""
         pitches = list(offsets)
@@ -72,7 +70,7 @@ class Harmony:
         if len(set(pitches)) != len(pitches):
             raise UsageError(f"duplicate tones in {pitches}")
         low = min(pitches)
-        return cls(tuple(sorted(p - low for p in pitches)), label=label)
+        return cls(tuple(sorted(p - low for p in pitches)))
 
     def __len__(self) -> int:
         return len(self.semitones)
@@ -80,15 +78,6 @@ class Harmony:
     def __str__(self) -> str:
         body = ",".join(str(n) for n in self.semitones)
         return f"{{{body}}}"
-
-
-def reduce_to_octave(h: Harmony) -> Harmony:
-    """Project all tones into one octave (offsets mod 12, deduplicated).
-
-    Octave reduction changes periodicity in general, so it is never applied
-    implicitly; call this first when a reduced reading is wanted.
-    """
-    return Harmony(tuple(sorted({n % 12 for n in h.semitones})), label=h.label)
 
 
 def ratios_for(h: Harmony, t: TuningTable) -> tuple[Fraction, ...]:

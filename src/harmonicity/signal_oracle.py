@@ -28,7 +28,6 @@ from .tuning import TuningTable
 __all__ = [
     "ToneStack",
     "autocorrelation",
-    "autocorrelation_grid",
     "detect_period",
 ]
 
@@ -83,12 +82,6 @@ def autocorrelation(s: ToneStack, tau: float) -> float:
     return 0.5 * math.fsum(math.cos(w * tau) for w in s.angular_frequencies)
 
 
-def autocorrelation_grid(s: ToneStack, taus: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`autocorrelation` over an array of lags."""
-    omegas = np.asarray(s.angular_frequencies)
-    return 0.5 * np.cos(np.outer(np.asarray(taus, dtype=float), omegas)).sum(axis=1)
-
-
 def detect_period(s: ToneStack, search_horizon: float = 130.0) -> float | None:
     """Find the period of the stack from its autocorrelation alone.
 
@@ -119,5 +112,7 @@ def detect_period(s: ToneStack, search_horizon: float = 130.0) -> float | None:
             f"the largest horizon for {k} tones is {max_horizon}"
         )
     taus = s.lowest_period * np.arange(1, math.floor(search_horizon) + 1)
-    hits = np.flatnonzero(autocorrelation_grid(s, taus) >= 0.5 * k - 1e-9 * k)
+    # the vectorized autocorrelation() at every lag of the lattice
+    rho = 0.5 * np.cos(np.outer(taus, np.asarray(s.angular_frequencies))).sum(axis=1)
+    hits = np.flatnonzero(rho >= 0.5 * k - 1e-9 * k)
     return float(taus[hits[0]]) if hits.size else None

@@ -103,7 +103,7 @@ _JUST = _table(
 _EQUAL = TuningTable("equal", tuple(2.0 ** (k / 12) for k in range(13)))
 
 
-def rational_tuning(d: float, name: str = "rational") -> TuningTable:
+def rational_tuning(d: float) -> TuningTable:
     """Build the tuning whose ratios are the smallest-denominator fractions
     within relative deviation ``d`` of equal temperament.
 
@@ -121,7 +121,7 @@ def rational_tuning(d: float, name: str = "rational") -> TuningTable:
             "receive non-increasing fractions (bounds above ~0.029 can "
             "make adjacent intervals overlap)"
         )
-    return TuningTable(name, ratios, deviation_bound=float(d))
+    return TuningTable("rational", ratios, deviation_bound=float(d))
 
 
 _RATIONAL = rational_tuning(0.01)

@@ -1,4 +1,4 @@
-"""Rival consonance measures: worked values, table columns, curve shape.
+"""Rival consonance measures: worked values and table columns.
 
 Integer-valued oracles (gradus, omega) were fixed by hand factorization of
 the ratio products and cross-checked against sympy's ``factorint`` /
@@ -24,7 +24,6 @@ from harmonicity import (
     evaluate_measure,
     pairwise_intervals,
     prime_factor_multiset,
-    roughness_curve,
 )
 
 JUST = builtin_tuning("just")
@@ -195,57 +194,6 @@ class TestPercentageSimilarity:
     def test_bounded_by_zero_and_hundred(self, tones):
         value = similarity(tones, JUST)
         assert 0.0 < value <= 100.0
-
-
-class TestRoughnessCurve:
-    def test_maximum_at_a(self):
-        for a, b in [(0.021, 2.0), (1.0, 2.0), (0.5, 3.7)]:
-            assert roughness_curve(a, a, b) == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_at_zero(self):
-        assert roughness_curve(0.0, 0.021) == 0.0
-
-    def test_double_peak_position(self):
-        assert roughness_curve(2.0, 1.0, 2.0) == pytest.approx(
-            (2.0 * math.exp(-1.0)) ** 2, rel=1e-12
-        )
-        assert roughness_curve(2.0, 1.0, 2.0) == pytest.approx(0.5413, abs=5e-5)
-
-    def test_domain_errors(self):
-        with pytest.raises(UsageError):
-            roughness_curve(0.1, 0.0)
-        with pytest.raises(UsageError):
-            roughness_curve(0.1, -1.0)
-        with pytest.raises(UsageError):
-            roughness_curve(0.1, 1.0, 0.0)
-        with pytest.raises(UsageError):
-            roughness_curve(-0.1, 1.0)
-
-    @given(
-        st.integers(0, 99), st.integers(1, 100),
-        st.floats(0.01, 10.0), st.floats(0.5, 4.0),
-    )
-    def test_strictly_increasing_before_peak(self, i, j, a, b):
-        # grid points i*a/100 < j*a/100 <= a
-        if i >= j:
-            i, j = j - 1, i + 1
-        lo, hi = i * a / 100.0, j * a / 100.0
-        assert roughness_curve(lo, a, b) < roughness_curve(hi, a, b)
-
-    @given(
-        st.integers(0, 99), st.integers(1, 100),
-        st.floats(0.01, 10.0), st.floats(0.5, 4.0),
-    )
-    def test_strictly_decreasing_after_peak(self, i, j, a, b):
-        # grid points a + i*a/10 < a + j*a/10, i.e. x in [a, 11a]
-        if i >= j:
-            i, j = j - 1, i + 1
-        lo, hi = a + i * a / 10.0, a + j * a / 10.0
-        assert roughness_curve(lo, a, b) > roughness_curve(hi, a, b)
-
-    @given(st.floats(0.0, 50.0), st.floats(0.01, 10.0), st.floats(0.5, 4.0))
-    def test_never_exceeds_one(self, x, a, b):
-        assert 0.0 <= roughness_curve(x, a, b) <= 1.0
 
 
 class TestEvaluateMeasure:

@@ -19,14 +19,37 @@ from harmonicity import (
     Harmony,
     ToneStack,
     UsageError,
+    analyze,
     autocorrelation,
     builtin_tuning,
     detect_period,
+    enumerate_harmonies,
+    inversion_offsets,
+    prime_factor_multiset,
+    ratio_for_semitone,
     raw_periodicity,
 )
-from harmonicity.signal_oracle import autocorrelation_grid
 
 JUST = builtin_tuning("just")
+
+
+def full_height(stack, tau):
+    """Whether rho(tau) is within 1e-9 * k of its zero-lag value k/2, the
+    threshold detect_period uses."""
+    k = len(stack.frequencies)
+    return autocorrelation(stack, tau) >= 0.5 * k - 1e-9 * k
+
+
+def certifies(stack, m):
+    """Whether the signal alone shows that the stack's period is exactly
+    ``m`` lowest-tone periods: full height at m, and below it at m / p for
+    every prime p of m.  Full-height multiples of the lowest period are the
+    multiples of the true period, so no divisor of m can be it."""
+    period = stack.lowest_period
+    return full_height(stack, m * period) and not any(
+        full_height(stack, m // p * period) for p in prime_factor_multiset(m)
+    )
+
 
 subsets = st.sets(st.integers(1, 11), min_size=0, max_size=11).map(
     lambda rest: (0,) + tuple(sorted(rest))
@@ -96,13 +119,6 @@ class TestAutocorrelation:
         with pytest.raises(UsageError):
             autocorrelation(ToneStack((440.0,)), -1e-6)
 
-    def test_grid_matches_scalar(self):
-        stack = ToneStack((220.0, 275.0, 330.0))
-        taus = np.linspace(0.0, 0.05, 57)
-        grid = autocorrelation_grid(stack, taus)
-        for tau, value in zip(taus, grid):
-            assert value == pytest.approx(autocorrelation(stack, tau), abs=1e-12)
-
     @given(
         st.lists(st.floats(50.0, 2000.0), min_size=1, max_size=6, unique=True),
         st.floats(0.0, 1.0),
@@ -153,6 +169,20 @@ class TestDetectPeriod:
         with pytest.raises(UsageError):
             detect_period(ToneStack((440.0,)), search_horizon=0.5)
 
+    def test_scalar_autocorrelation_confirms_detected_lag(self):
+        # the scalar closed form referees the vectorized lattice scan: full
+        # height at the lag found, below it at every earlier multiple
+        rng = random.Random(20261018)
+        for _ in range(30):
+            tones = (0,) + tuple(sorted(rng.sample(range(1, 12), rng.randint(0, 5))))
+            stack = ToneStack.from_harmony(Harmony(tones), JUST, 220.0)
+            period = detect_period(stack)
+            assert period is not None, tones
+            assert full_height(stack, period), tones
+            m = round(period / stack.lowest_period)
+            for earlier in range(1, m):
+                assert not full_height(stack, earlier * stack.lowest_period), tones
+
     @pytest.mark.parametrize("tuning", ["just", "rational", "pythagorean", "kirnberger3"])
     def test_agreement_with_lcm_periodicity(self, tuning):
         # two independent channels: signal autocorrelation peak vs the
@@ -172,3 +202,25 @@ class TestDetectPeriod:
             period = detect_period(stack, search_horizon=max(130.0, raw_h + 1))
             assert period is not None, tones
             assert abs(period - expected) / expected <= 1e-6, tones
+
+
+class TestInversionViewCertificate:
+    @pytest.mark.parametrize("tuning", ["just", "pythagorean"])
+    def test_signal_certifies_every_view(self, tuning):
+        # every inversion view of every one-octave harmony, heard from its
+        # lowest tone: the signal repeats after exactly h' of its periods,
+        # and the certificate rejects the wrong claim 2 * h'
+        t = builtin_tuning(tuning)
+        views = 0
+        for harmony in enumerate_harmonies():
+            result = analyze(harmony, t)
+            for i, value in enumerate(result.inversion_h):
+                assert value.denominator == 1, (harmony, i)
+                m = value.numerator
+                # offsets ascend, so ratios[0] is the view's lowest tone
+                ratios = [ratio_for_semitone(t, n) for n in inversion_offsets(harmony, i)]
+                stack = ToneStack(tuple(float(r / ratios[0]) for r in ratios))
+                assert certifies(stack, m), (harmony, i, m)
+                assert not certifies(stack, 2 * m), (harmony, i, m)
+                views += 1
+        assert views == 13312
