@@ -364,6 +364,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         f1 = DEFAULT_F1_HZ
     result = analyze(spec.harmony, t, average_inversions=False)
     predicted = result.raw_h / f1
+    # the scan runs in floats: past the normal range its lags and cosines
+    # turn to inf or nan and the verdict is meaningless
+    edges = [predicted, args.horizon / f1]
+    edges += [2.0 * math.pi * (f1 * float(r)) for r in ratios_for(spec.harmony, t)]
+    if not all(sys.float_info.min <= x < math.inf for x in edges):
+        raise UsageError(
+            f"a lowest tone of {f1:g} Hz puts the oracle's periods or angular "
+            "frequencies outside the finite normal float range"
+        )
     stack = ToneStack.from_harmony(spec.harmony, t, f1)
     detected = detect_period(stack, search_horizon=args.horizon)
     if detected is None:

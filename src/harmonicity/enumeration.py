@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations
 from typing import Iterator
 
 from .errors import UsageError
-from .measures import evaluate_measure, lookup_measure
+from .measures import MEASURES, evaluate_measure, lookup_measure
 from .periodicity import Harmony
 from .tuning import TuningTable
 
@@ -41,19 +42,25 @@ def enumerate_harmonies(cardinality: int | None = None) -> Iterator[Harmony]:
     >>> [str(h) for h in enumerate_harmonies(1)]
     ['{0}']
     """
-    if cardinality is not None and not 1 <= cardinality <= 12:
-        raise UsageError(f"cardinality must be in 1..12, got {cardinality!r}")
+    if cardinality is not None:
+        _check_cardinality(cardinality)
     sizes = (cardinality,) if cardinality is not None else range(1, 13)
-    subsets = [
-        (0,) + rest
-        for size in sizes
-        for rest in combinations(range(1, 12), size - 1)
-    ]
-    for tones in sorted(subsets):
-        yield Harmony(tones)
+    yield from sorted(chain.from_iterable(map(_category, sizes)), key=lambda h: h.semitones)
 
 
-@dataclass(frozen=True)
+def _check_cardinality(cardinality: int) -> None:
+    if not 1 <= cardinality <= 12:
+        raise UsageError(f"cardinality must be in 1..12, got {cardinality!r}")
+
+
+@cache
+def _category(size: int) -> tuple[Harmony, ...]:
+    """The octave's harmonies with ``size`` tones in lexicographic order,
+    built once and shared by enumerate_harmonies and every ranked column."""
+    return tuple(Harmony((0,) + rest) for rest in combinations(range(1, 12), size - 1))
+
+
+@dataclass(frozen=True, slots=True)
 class RankedRow:
     """One evaluated harmony: ordinal rank within its tone-count category."""
 
@@ -79,10 +86,35 @@ class RankTable:
         raise UsageError(f"harmony {harmony} is not in this table")
 
 
-# One dict of values per (tuning, measure), keyed by the exact tone tuple:
-# repeated tables over the same tuning hash the tuning once per call, not
-# once per harmony.
-_VALUES: dict[tuple[TuningTable, str], dict[tuple[int, ...], float]] = {}
+# One ranked column per (tuning, measure, cardinality), most consonant
+# first.  A category's column is evaluated, sorted and numbered on first
+# use; the whole-octave column (cardinality None) is merged from the 12
+# category columns and shares their rows.
+_COLUMNS: dict[tuple[TuningTable, str, int | None], tuple[RankedRow, ...]] = {}
+
+
+def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[RankedRow, ...]:
+    key = (t, measure, cardinality)
+    rows = _COLUMNS.get(key)
+    if rows is not None:
+        return rows
+    orientation = MEASURES[measure].orientation
+    # (orientation * value, semitones) is a total order: tuples are unique
+    if cardinality is None:
+        # the same key as each category's, so the merge keeps their ranks
+        rows = tuple(sorted(
+            chain.from_iterable(_column(t, measure, size) for size in range(1, 13)),
+            key=lambda row: (orientation * row.value, row.harmony.semitones),
+        ))
+    else:
+        evaluated = sorted(
+            ((evaluate_measure(h.semitones, measure, t), h) for h in _category(cardinality)),
+            key=lambda pair: (orientation * pair[0], pair[1].semitones),
+        )
+        rows = tuple(RankedRow(rank, h, value)
+                     for rank, (value, h) in enumerate(evaluated, start=1))
+    _COLUMNS[key] = rows
+    return rows
 
 
 def rank_table(
@@ -97,28 +129,16 @@ def rank_table(
     Ranks are ordinal within each tone-count category; rows of a mixed
     table (no cardinality filter) are globally sorted the same way, with the
     per-category ranks attached.  ``top`` truncates to the first rows after
-    sorting.
+    sorting.  Each ranked column is computed once per process and later
+    queries with the same tuning and measure read it.
     """
-    orientation = lookup_measure(measure).orientation
+    lookup_measure(measure)
     if top is not None and top < 1:
         raise UsageError(f"top must be >= 1, got {top!r}")
-
-    values = _VALUES.setdefault((t, measure), {})
-    evaluated = []
-    for h in enumerate_harmonies(cardinality):
-        if h.semitones not in values:
-            values[h.semitones] = evaluate_measure(h.semitones, measure, t)
-        evaluated.append((h, values[h.semitones]))
-    evaluated.sort(key=lambda pair: (orientation * pair[1], pair[0].semitones))
-    # The key is a total order, so numbering each tone count along this one
-    # sort gives the ranks a sort per category would.
-    counts: dict[int, int] = {}
-    rows = []
-    for harmony, value in evaluated[:top]:
-        counts[len(harmony)] = rank = counts.get(len(harmony), 0) + 1
-        rows.append(RankedRow(rank=rank, harmony=harmony, value=value))
+    if cardinality is not None:
+        _check_cardinality(cardinality)
     return RankTable(tuning=t.name, measure=measure, cardinality=cardinality,
-                     rows=tuple(rows))
+                     rows=_column(t, measure, cardinality)[:top])
 
 
 def top_share_count(category_size: int, fraction: float) -> int:

@@ -98,7 +98,12 @@ def _brefeld(tones: Sequence[int], t: TuningTable) -> float:
     # the 2k-th root of the full product over k intervals
     intervals = pairwise_intervals(tones, t)
     product = math.prod(r.numerator * r.denominator for r in intervals)
-    return float(product) ** (1.0 / (2 * len(intervals)))
+    exponent = 1.0 / (2 * len(intervals))
+    try:
+        return float(product) ** exponent
+    except OverflowError:
+        # wide chords outgrow a float; math.log takes any int
+        return math.exp(math.log(product) * exponent)
 
 
 def _similarity(tones: Sequence[int], t: TuningTable) -> float:

@@ -1,17 +1,23 @@
 """Command-line interface: chord parsing, subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import harmonicity
-from harmonicity import ParseError
+from harmonicity import BUILTIN_TUNING_NAMES, ParseError
 from harmonicity.cli import DEFAULT_F1_HZ, main, parse_pitch_spec
 
 
@@ -124,6 +130,14 @@ class TestAnalyzeCommand:
         assert extras["omega"] == 4
         assert extras["brefeld"] == pytest.approx(3.914868)
         assert extras["similarity"] == pytest.approx(46.67)
+
+    def test_wide_chord_brefeld(self, capsys):
+        # the exact Brefeld product of 24 tones does not fit a float
+        chord = ",".join(str(n) for n in range(24))
+        code, out, err = run(capsys, ["analyze", "--chord", chord, "--measures", "all",
+                                      "--format", "json"])
+        assert code == 0 and err == ""
+        assert math.isfinite(json.loads(out)["extras"]["brefeld"])
 
     def test_pitch_names_set_reference(self, capsys):
         code, out, err = run(capsys, ["analyze", "--chord", "C3 E4 G4"])
@@ -393,10 +407,15 @@ class TestErrorHandling:
          "error: token 1: 'C99999999999999999999' lies outside MIDI notes 0..127"),
         (["oracle", "--chord", "C-99999999999999999999 D-99999999999999999999"],
          "error: token 1: 'C-99999999999999999999' lies outside MIDI notes 0..127"),
+        # an infinite predicted period, an overflowing 2*pi*f, overflowing lags
+        (["oracle", "--chord", "0,4,7", "--f1", "1e-308"], "error: a lowest tone of 1e-308 Hz"),
+        (["oracle", "--chord", "0,4,7", "--f1", "1e308"], "error: a lowest tone of 1e+308 Hz"),
+        (["oracle", "--chord", "0,4,7", "--f1", "1e-307"], "error: a lowest tone of 1e-307 Hz"),
     ], ids=["chord-token", "value-1/0", "value-abc", "value-1/-2", "oracle-f1-0",
             "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative",
             "approximate-budget", "chord-span-names", "chord-span-offsets",
-            "horizon-budget", "note-above-midi", "note-below-midi"])
+            "horizon-budget", "note-above-midi", "note-below-midi",
+            "f1-tiny", "f1-huge", "f1-lags"])
     def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
         try:
             code = main(argv)
@@ -417,6 +436,39 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze"])
         assert excinfo.value.code == 2
+
+
+@st.composite
+def chord_argvs(draw):
+    """``analyze --measures all`` or ``oracle`` on up to 40 distinct tones
+    within the 127-semitone span, any tuning, format and lowest frequency."""
+    tones = draw(st.lists(st.integers(0, 127), min_size=1, max_size=40, unique=True))
+    chord = ",".join(str(n) for n in tones)
+    tuning = draw(st.sampled_from(BUILTIN_TUNING_NAMES))
+    if draw(st.booleans()):
+        argv = ["analyze", "--chord", chord, "--tuning", tuning, "--measures", "all",
+                "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    else:
+        argv = ["oracle", "--chord", chord, "--tuning", tuning]
+    f1 = draw(st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return argv if f1 is None else [*argv, "--f1", repr(f1)]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=chord_argvs())
+    @example(argv=["analyze", "--chord", ",".join(str(n) for n in range(15)),
+                   "--tuning", "pythagorean", "--measures", "all"])
+    @example(argv=["oracle", "--chord", "0,4,7", "--f1", "1e-308"])
+    @example(argv=["oracle", "--chord", "0,4,7", "--f1", "1e308"])
+    @example(argv=["oracle", "--chord", "0,4,7", "--f1", "1e-307"])
+    def test_every_chord_argv_exits_0_1_or_2(self, argv):
+        # a warning, such as numpy's overflow in the oracle's scan, fails too
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2)
 
 
 # One argv per subcommand that has --format; cor2 has rows without a

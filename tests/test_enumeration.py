@@ -17,9 +17,12 @@ from harmonicity import (
     UsageError,
     builtin_tuning,
     enumerate_harmonies,
+    evaluate_measure,
     rank_table,
+    rational_tuning,
     top_share_count,
 )
+from harmonicity import enumeration
 
 JUST = builtin_tuning("just")
 
@@ -153,6 +156,69 @@ class TestRankTable:
         assert rows[0].value == pytest.approx(46.67, abs=0.005)
         assert (rows[-1].rank, rows[-1].harmony.semitones) == (55, (0, 1, 2))
         assert rows[-1].value == pytest.approx(15.74, abs=0.005)
+
+
+class TestRankedColumn:
+    """Each (tuning, measure) is ranked once per process; later tables are
+    read from the stored columns."""
+
+    @pytest.mark.parametrize("tuning", [JUST, rational_tuning(0.011)],
+                             ids=["just", "rational-0.011"])
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_category_tables_match_the_full_table(self, name, tuning):
+        orientation = MEASURES[name].orientation
+        pairwise = name in ("similarity", "brefeld")
+        full = None if pairwise else rank_table(tuning, name).rows
+        for size in range(2 if pairwise else 1, 13):
+            rows = rank_table(tuning, name, size).rows
+            keys = [(orientation * row.value, row.harmony.semitones) for row in rows]
+            assert keys == sorted(keys)
+            assert [row.rank for row in rows] == list(range(1, len(rows) + 1))
+            if full is not None:
+                assert rows == tuple(row for row in full if len(row.harmony) == size)
+
+    def test_warm_tables_evaluate_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(tones, measure, t):
+            calls.append(tones)
+            return evaluate_measure(tones, measure, t)
+
+        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+        monkeypatch.setattr(enumeration, "evaluate_measure", counting)
+        first = rank_table(JUST, "gradus", 4)
+        assert len(calls) == math.comb(11, 3)
+        calls.clear()
+        assert rank_table(JUST, "gradus", 4, top=3).rows == first.rows[:3]
+        assert rank_table(JUST, "gradus", 4).rows == first.rows
+        assert calls == []
+        for size in range(1, 13):
+            rank_table(JUST, "omega", size)
+        calls.clear()
+        assert len(rank_table(JUST, "omega").rows) == 2048
+        assert calls == []
+
+    def test_failed_full_table_leaves_categories_correct(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+        with pytest.raises(UndefinedMeasureError):
+            rank_table(JUST, "similarity")
+        rows = rank_table(JUST, "similarity", 3).rows
+        expected = sorted(
+            enumerate_harmonies(3),
+            key=lambda h: (-evaluate_measure(h.semitones, "similarity", JUST), h.semitones),
+        )
+        assert [row.harmony for row in rows] == expected
+        assert [row.rank for row in rows] == list(range(1, 56))
+
+    def test_equal_tuning_objects_give_equal_rows(self):
+        fresh, builtin = rational_tuning(0.01), builtin_tuning("rational")
+        assert fresh is not builtin and fresh == builtin
+        assert rank_table(fresh, "log_periodicity", 5) == rank_table(builtin, "log_periodicity", 5)
+
+    def test_columns_share_the_enumerated_harmonies(self):
+        rows = rank_table(JUST, "gradus", 6).rows
+        assert {id(h) for h in enumerate_harmonies(6)} == {id(row.harmony) for row in rows}
+        assert not hasattr(rows[0], "__dict__")
 
 
 class TestTopShareCount:

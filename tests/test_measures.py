@@ -165,6 +165,29 @@ class TestBrefeldValue:
         with pytest.raises(UndefinedMeasureError):
             brefeld((), JUST)
 
+    @pytest.mark.parametrize("tuning", ["just", "rational", "pythagorean", "kirnberger3"])
+    def test_wide_chord_roots_in_the_log_domain(self, tuning):
+        # 24 consecutive tones: the exact product is too large for a float
+        t = builtin_tuning(tuning)
+        tones = tuple(range(24))
+        intervals = pairwise_intervals(tones, t)
+        product = math.prod(r.numerator * r.denominator for r in intervals)
+        with pytest.raises(OverflowError):
+            float(product)
+        value = evaluate_measure(tones, "brefeld", t)
+        assert math.isfinite(value)
+        assert math.log(value) == pytest.approx(
+            math.log(product) / (2 * len(intervals)), rel=1e-12
+        )
+
+    def test_values_that_fit_a_float_keep_the_float_root(self):
+        # 14 tones is the widest Pythagorean cluster whose product fits
+        t = builtin_tuning("pythagorean")
+        tones = tuple(range(14))
+        intervals = pairwise_intervals(tones, t)
+        product = math.prod(r.numerator * r.denominator for r in intervals)
+        assert brefeld(tones, t) == float(product) ** (1.0 / (2 * len(intervals)))
+
     @given(subsets.filter(lambda tones: len(tones) >= 2))
     def test_value_is_at_least_one(self, tones):
         # every numerator and denominator is >= 1
