@@ -57,36 +57,45 @@ __all__ = [
     "significance",
 ]
 
-DATASET_IDS = ("dyads", "triads", "complete_triads", "church_modes")
 
-# Column names of each dataset file after the fixed
-# label;semitones;empirical prefix.
-_SCHEMAS: dict[str, tuple[str, ...]] = {
-    "dyads": ("roughness", "sonance_factor", "similarity", "rel_periodicity"),
-    "triads": (
-        "rating", "roughness", "instability", "similarity", "rel_periodicity",
-        "dual_process",
+@dataclass(frozen=True)
+class _DatasetSpec:
+    """What one dataset file must hold: the column names after the fixed
+    label;semitones;empirical prefix, the row count, and the orientation of
+    its ordinal ``rating`` column (``None`` when it has none)."""
+
+    columns: tuple[str, ...]
+    rows: int
+    rating: int | None
+
+
+# Ratings of both triad sets grow with dissonance, church-mode ratings with
+# preference; dyads have no rating column.
+_DATASETS: dict[str, _DatasetSpec] = {
+    "dyads": _DatasetSpec(
+        ("roughness", "sonance_factor", "similarity", "rel_periodicity"), 13, None,
     ),
-    "complete_triads": (
-        "rating", "roughness", "similarity", "rel_periodicity", "log_periodicity",
-        "dual_process",
+    "triads": _DatasetSpec(
+        ("rating", "roughness", "instability", "similarity", "rel_periodicity",
+         "dual_process"), 13, 1,
     ),
-    "church_modes": (
-        "rating", "sonance_factor", "similarity", "log_periodicity_just",
-        "log_periodicity_rational",
+    "complete_triads": _DatasetSpec(
+        ("rating", "roughness", "similarity", "rel_periodicity", "log_periodicity",
+         "dual_process"), 19, 1,
+    ),
+    "church_modes": _DatasetSpec(
+        ("rating", "sonance_factor", "similarity", "log_periodicity_just",
+         "log_periodicity_rational"), 7, -1,
     ),
 }
 
-_EXPECTED_COUNTS = {"dyads": 13, "triads": 13, "complete_triads": 19, "church_modes": 7}
+#: Valid arguments to :func:`load_dataset`.
+DATASET_IDS = tuple(_DATASETS)
 
 # Orientation of the static columns that grow with consonance; every other
 # static column grows with dissonance (+1).  Recomputed measures take their
 # orientation from the measure registry.
 _COLUMN_ORIENTATION = {"sonance_factor": -1, "similarity": -1}
-
-# Orientation of the ordinal rating column: dyads have none; triad ratings
-# grow with dissonance; church-mode ratings grow with preference.
-_RATING_ORIENTATION = {"triads": 1, "complete_triads": 1, "church_modes": -1}
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ def _data_text(dataset_id: str) -> str:
         path = Path(override) / f"{dataset_id}.csv"
         try:
             return path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read dataset file {path}: {exc}") from exc
     try:
         return (
@@ -142,7 +151,8 @@ def load_dataset(dataset_id: str) -> EmpiricalDataset:
         valid = ", ".join(DATASET_IDS)
         raise UsageError(f"unknown dataset {dataset_id!r}; valid ids: {valid}")
     text = _data_text(dataset_id)
-    schema = _SCHEMAS[dataset_id]
+    spec = _DATASETS[dataset_id]
+    schema = spec.columns
     lines = text.splitlines()
     if not lines or lines[0] != f"# harmonicity dataset: {dataset_id} v1":
         raise DataError(
@@ -177,10 +187,9 @@ def load_dataset(dataset_id: str) -> EmpiricalDataset:
             )
         items.append(DatasetItem(cells[0], semitones, empirical))
 
-    if len(items) != _EXPECTED_COUNTS[dataset_id]:
+    if len(items) != spec.rows:
         raise DataError(
-            f"dataset {dataset_id!r}: expected {_EXPECTED_COUNTS[dataset_id]} rows, "
-            f"got {len(items)}"
+            f"dataset {dataset_id!r}: expected {spec.rows} rows, got {len(items)}"
         )
     return EmpiricalDataset(
         id=dataset_id,
@@ -234,7 +243,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     var_y = math.fsum(b * b for b in dy)
     if var_x == 0 or var_y == 0:
         raise UsageError("pearson() is undefined for zero-variance input")
-    return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    # rounding can carry an exact line a few ulps past +-1
+    return max(-1.0, min(1.0, r))
 
 
 def significance(r: float, n: int) -> float:
@@ -389,8 +400,8 @@ def correlate_measure(
         x = rank_with_ties([item.empirical for item in dataset.items])
         y = rank_with_ties(values, ascending=orientation > 0)
     else:
-        rating_orientation = _RATING_ORIENTATION.get(dataset.id)
-        if rating_orientation is None or "rating" not in dataset.static_columns:
+        rating_orientation = _DATASETS[dataset.id].rating
+        if rating_orientation is None:
             raise UsageError(f"dataset {dataset.id!r} has no ordinal ratings")
         ratings = dataset.static_columns["rating"]
         paired = [(r_, v) for r_, v in zip(ratings, values) if r_ is not None]
@@ -502,51 +513,48 @@ _GOLDEN: tuple[GoldenCorrelation, ...] = (
     _G("table6", "logarithmic periodicity (rational)", "church_modes", "log_periodicity", "rational", "ranks", 0.964, 0.0002),
 )
 
-#: Valid arguments to :func:`reproduce`.
-REPRODUCTION_TARGETS = ("table2", "table3", "table4", "table6", "cor2", "cor3")
-
-# Golden measure columns recomputed cell by cell per target:
-# (column name, measure, tuning, tolerance)
-_GOLDEN_COLUMNS: dict[str, tuple[tuple[str, str, str, float], ...]] = {
-    "table2": (
+# Each reproduction target: its dataset and the golden measure columns
+# recomputed cell by cell, as (column name, measure, tuning, tolerance).
+_TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...]]] = {
+    "table2": ("dyads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("similarity", "similarity", "just", 0.005),
-    ),
-    "table3": (
+    )),
+    "table3": ("triads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("similarity", "similarity", "just", 0.005),
-    ),
-    "table4": (
+    )),
+    "table4": ("complete_triads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("log_periodicity", "log_periodicity", "just", 0.001),
         ("similarity", "similarity", "just", 0.005),
-    ),
-    "table6": (
+    )),
+    "table6": ("church_modes", (
         ("log_periodicity_just", "log_periodicity", "just", 0.001),
         ("log_periodicity_rational", "log_periodicity", "rational", 0.001),
-    ),
+    )),
+    "cor2": ("dyads", ()),
+    "cor3": ("triads", ()),
 }
 
-_TARGET_DATASET = {
-    "table2": "dyads",
-    "table3": "triads",
-    "table4": "complete_triads",
-    "table6": "church_modes",
-    "cor2": "dyads",
-    "cor3": "triads",
-}
+#: Valid arguments to :func:`reproduce`.
+REPRODUCTION_TARGETS = tuple(_TARGETS)
 
 _TOLERANCE_R = 0.005
 _TOLERANCE_P = 0.0005
+
+
+def _check_target(target: str) -> None:
+    if target not in _TARGETS:
+        valid = ", ".join(_TARGETS)
+        raise UsageError(f"unknown reproduction target {target!r}; valid targets: {valid}")
 
 
 def golden_correlations(table: str | None = None) -> tuple[GoldenCorrelation, ...]:
     """The published correlation rows, optionally filtered by table."""
     if table is None:
         return _GOLDEN
-    if table not in REPRODUCTION_TARGETS:
-        valid = ", ".join(REPRODUCTION_TARGETS)
-        raise UsageError(f"unknown table {table!r}; valid targets: {valid}")
+    _check_target(table)
     return tuple(g for g in _GOLDEN if g.table == table)
 
 
@@ -591,14 +599,11 @@ def reproduce(target: str, tuning: str | None = None) -> ReproductionReport:
     ``tuning`` optionally restricts the work to golden cells computed under
     that tuning (rows with no tuning — static columns — are kept).
     """
-    if target not in REPRODUCTION_TARGETS:
-        valid = ", ".join(REPRODUCTION_TARGETS)
-        raise UsageError(f"unknown reproduction target {target!r}; valid: {valid}")
-
-    dataset = load_dataset(_TARGET_DATASET[target])
+    _check_target(target)
+    dataset_id, golden_columns = _TARGETS[target]
+    dataset = load_dataset(dataset_id)
     checks: list[ReproductionCheck] = []
 
-    golden_columns = _GOLDEN_COLUMNS.get(target, ())
     golden_rows = golden_correlations(target)
     if tuning is not None:
         present = {g[2] for g in golden_columns} | {
@@ -617,7 +622,11 @@ def reproduce(target: str, tuning: str | None = None) -> ReproductionReport:
         computed = measure_values(dataset, measure, t)
         expected = dataset.column(column_name)
         for item, got, want in zip(dataset.items, computed, expected):
-            assert want is not None
+            if want is None:
+                raise DataError(
+                    f"dataset {dataset.id!r} column {column_name!r} row "
+                    f"{item.label!r}: golden cell is empty"
+                )
             checks.append(
                 ReproductionCheck(
                     name=f"{column_name}[{item.label}]",

@@ -38,7 +38,6 @@ __all__ = [
     "MEASURES",
     "Measure",
     "evaluate_measure",
-    "lookup_measure",
     "pairwise_intervals",
 ]
 

@@ -8,9 +8,9 @@ repeats sooner — the harmony is heard as more consonant.
 Beyond that raw value, :func:`analyze` can average over *inversions*:
 re-reference the harmony to each of its tones in turn, compute each view's
 ``h``, rescale it by the view's lowest ratio so all views share one time
-base, and average.  Both the arithmetic mean and the mean of ``log2`` (the
-log of the geometric mean) are reported; values stay exact rationals until
-the final averaging step.
+base, and average.  Every rescaled value is an integer.  Both the
+arithmetic mean and the mean of ``log2`` (the log of the geometric mean)
+are reported; values stay exact until the final averaging step.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def raw_periodicity(h: Harmony, t: TuningTable) -> int:
     >>> raw_periodicity(Harmony((0, 4, 7)), builtin_tuning("just"))
     4
     """
-    return lcm_many([r.denominator for r in ratios_for(h, t)])
+    return _view_h(h.semitones, t)
 
 
 def inversion_offsets(h: Harmony, i: int) -> tuple[int, ...]:
@@ -105,12 +105,14 @@ def inversion_offsets(h: Harmony, i: int) -> tuple[int, ...]:
     return tuple(n - anchor for n in h.semitones)
 
 
-def _inversion_value(offsets: tuple[int, ...], t: TuningTable) -> Fraction:
-    """Rescaled periodicity h' of one re-referenced view: the view's lcm of
-    ratio denominators times its lowest frequency ratio, exact."""
+def _view_h(offsets: tuple[int, ...], t: TuningTable) -> int:
+    """Rescaled periodicity h' of one view: the lcm ``L`` of its ratio
+    denominators times its lowest ratio ``a/b``.  ``b`` divides ``L``, so
+    h' is the integer ``L // b * a``; for the root view (lowest ratio 1/1)
+    it is the raw periodicity ``L``."""
     ratios = [ratio_for_semitone(t, n) for n in offsets]
-    h_view = lcm_many([r.denominator for r in ratios])
-    return h_view * min(ratios)
+    low = min(ratios)
+    return lcm_many([r.denominator for r in ratios]) // low.denominator * low.numerator
 
 
 @dataclass(frozen=True)
@@ -126,14 +128,14 @@ class AnalysisResult:
     harmony: Harmony
     tuning: str
     raw_h: int
-    inversion_h: tuple[Fraction, ...]
+    inversion_h: tuple[int, ...]
     mean_h: float
     mean_log_h: float
 
     @property
     def exact_mean_h(self) -> Fraction:
         """The arithmetic mean of ``inversion_h`` as an exact fraction."""
-        return sum(self.inversion_h, Fraction(0)) / len(self.inversion_h)
+        return Fraction(sum(self.inversion_h), len(self.inversion_h))
 
 
 def analyze(h: Harmony, t: TuningTable, average_inversions: bool = True) -> AnalysisResult:
@@ -146,22 +148,17 @@ def analyze(h: Harmony, t: TuningTable, average_inversions: bool = True) -> Anal
 
     >>> from .tuning import builtin_tuning
     >>> analyze(Harmony((0, 3, 9)), builtin_tuning("just")).inversion_h
-    (Fraction(15, 1), Fraction(25, 1), Fraction(6, 1))
+    (15, 25, 6)
     """
     indices = range(len(h)) if average_inversions else range(1)
-    values = tuple(_inversion_value(inversion_offsets(h, i), t) for i in indices)
-    raw = values[0]
-    if raw.denominator != 1:
-        raise AssertionError(f"root view of {h} produced non-integer h {raw}")
-    mean = sum(values, Fraction(0)) / len(values)
-    mean_log = math.fsum(math.log2(v) for v in values) / len(values)
+    values = tuple(_view_h(inversion_offsets(h, i), t) for i in indices)
     return AnalysisResult(
         harmony=h,
         tuning=t.name,
-        raw_h=raw.numerator,
+        raw_h=values[0],
         inversion_h=values,
-        mean_h=float(mean),
-        mean_log_h=mean_log,
+        mean_h=float(Fraction(sum(values), len(values))),
+        mean_log_h=math.fsum(math.log2(v) for v in values) / len(values),
     )
 
 

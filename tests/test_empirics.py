@@ -121,6 +121,22 @@ class TestDataDirOverride:
         with pytest.raises(DataError, match="cannot read"):
             load_dataset("dyads")
 
+    def test_not_utf8(self, tmp_path, monkeypatch):
+        text = _packaged_text("dyads").replace("unison", "prime")
+        (tmp_path / "dyads.csv").write_bytes(text.encode("utf-16"))
+        monkeypatch.setenv("HARMONY_DATA_DIR", str(tmp_path))
+        with pytest.raises(DataError, match="cannot read"):
+            load_dataset("dyads")
+
+    def test_empty_golden_cell(self, tmp_path, monkeypatch):
+        text = _packaged_text("dyads").replace(";66.67;2.0\n", ";66.67;\n")
+        self._write(tmp_path, monkeypatch, text)
+        assert load_dataset("dyads").column("rel_periodicity")[2] is None
+        with pytest.raises(
+            DataError, match="'dyads' column 'rel_periodicity' row 'perfect fifth'"
+        ):
+            reproduce("table2")
+
     def test_wrong_marker(self, tmp_path, monkeypatch):
         text = _packaged_text("dyads").replace("dyads v1", "dyads v2")
         self._write(tmp_path, monkeypatch, text)
@@ -187,6 +203,9 @@ class TestPearson:
     def test_perfect_correlation(self):
         assert pearson([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0, abs=1e-12)
         assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-12)
+        # unclamped, rounding gives 1.0000000000000002 here
+        assert pearson([0.0, 2.0, 6.0], [-2.0, -1.0, 1.0]) == 1.0
+        assert pearson([0.0, 2.0, 6.0], [2.0, 1.0, -1.0]) == -1.0
 
     def test_validation(self):
         with pytest.raises(UsageError, match="equal lengths"):

@@ -165,7 +165,7 @@ class TestAnalyze:
     @given(subsets)
     def test_every_inversion_value_positive_rational(self, tones):
         result = analyze(Harmony(tones), JUST)
-        assert all(isinstance(v, Fraction) and v > 0 for v in result.inversion_h)
+        assert all(isinstance(v, int) and v > 0 for v in result.inversion_h)
 
 
 class TestFundamental:
