@@ -40,7 +40,7 @@ from .empirics import (
 )
 from .errors import HarmonicityError, ParseError, UsageError
 from .measures import MEASURES
-from .periodicity import Harmony, analyze, fundamental_frequency, ratios_for
+from .periodicity import Harmony, analyze, fundamental_frequency, ratios_for, raw_periodicity
 from .rationals import approximate
 from .signal_oracle import ToneStack, detect_period
 from .tuning import (
@@ -188,6 +188,16 @@ def _emit(fmt: str, text: Callable[[], list[str]], csv: Callable[[], list[str]],
         print("\n".join(text() if fmt == "text" else csv()))
 
 
+def _lowest_frequency(args: argparse.Namespace, spec: PitchSpec) -> float:
+    """``--f1`` if given, else the lowest pitch name's frequency, else
+    :data:`DEFAULT_F1_HZ`."""
+    if args.f1 is not None:
+        return args.f1
+    if spec.reference_frequency is not None:
+        return spec.reference_frequency
+    return DEFAULT_F1_HZ
+
+
 def _semitones(h: Harmony) -> str:
     return ",".join(str(n) for n in h.semitones)
 
@@ -197,9 +207,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t = _resolve_tuning(args.tuning)
     result = analyze(spec.harmony, t, average_inversions=not args.no_inversions)
     h = result.harmony
-    f1 = args.f1 if args.f1 is not None else spec.reference_frequency
-    if f1 is None:
-        f1 = DEFAULT_F1_HZ
+    f1 = _lowest_frequency(args, spec)
     extras = {
         name: round(MEASURES[name].compute(h.semitones, t), digits)
         for name, digits in _ANALYZE_EXTRAS.items()
@@ -359,11 +367,9 @@ def _cmd_approximate(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = parse_pitch_spec(args.chord)
     t = _resolve_tuning(args.tuning)
-    f1 = args.f1 if args.f1 is not None else spec.reference_frequency
-    if f1 is None:
-        f1 = DEFAULT_F1_HZ
-    result = analyze(spec.harmony, t, average_inversions=False)
-    predicted = result.raw_h / f1
+    f1 = _lowest_frequency(args, spec)
+    raw_h = raw_periodicity(spec.harmony, t)
+    predicted = raw_h / f1
     # the scan runs in floats: past the normal range its lags and cosines
     # turn to inf or nan and the verdict is meaningless
     edges = [predicted, args.horizon / f1]
@@ -385,7 +391,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     relative = abs(detected - predicted) / predicted
     agree = relative <= args.tolerance
     print(f"harmony: {spec.harmony}")
-    print(f"predicted period: {predicted:.9g} s (h = {result.raw_h}, f1 = {f1:.2f} Hz)")
+    print(f"predicted period: {predicted:.9g} s (h = {raw_h}, f1 = {f1:.2f} Hz)")
     print(f"detected period:  {detected:.9g} s")
     print(f"relative difference: {relative:.3g} "
           f"({'agree' if agree else 'DISAGREE'} at tolerance {args.tolerance:g})")

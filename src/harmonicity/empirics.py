@@ -275,36 +275,33 @@ _BETA_EPS = 1e-8
 _BETA_FPMIN = 1e-300
 
 
+def _lentz_step(numerator: float, c: float, d: float) -> tuple[float, float]:
+    """One modified-Lentz update of ``(c, d)`` by the next partial
+    numerator; ``d`` comes back inverted, and values that would divide by
+    zero are clamped to ``_BETA_FPMIN``."""
+    d = 1.0 + numerator * d
+    if abs(d) < _BETA_FPMIN:
+        d = _BETA_FPMIN
+    c = 1.0 + numerator / c
+    if abs(c) < _BETA_FPMIN:
+        c = _BETA_FPMIN
+    return c, 1.0 / d
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction of the incomplete beta function (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    # the first term starts from c = d = 1; only its d is kept
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
+    _, d = _lentz_step(-qab * x / qap, c, c)
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + numerator / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + numerator / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
+        c, d = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
@@ -426,7 +423,8 @@ def correlate_measure(
 
 @dataclass(frozen=True)
 class GoldenCorrelation:
-    """One published correlation row.
+    """One published correlation row, computed on the dataset that its
+    ``table``'s reproduction target names.
 
     ``kind`` is ``strict`` (recomputed and diffed; mismatch fails the
     reproduction), ``info`` (recomputed and shown, but known not to match
@@ -436,7 +434,6 @@ class GoldenCorrelation:
 
     table: str
     label: str
-    dataset: str | None
     measure: str | None
     tuning: str | None
     mode: str
@@ -449,68 +446,68 @@ _G = GoldenCorrelation
 
 _GOLDEN: tuple[GoldenCorrelation, ...] = (
     # dyads: footer of the main ranking table
-    _G("table2", "roughness", "dyads", "roughness", None, "ranks", 0.967, 0.0000),
-    _G("table2", "sonance factor", "dyads", "sonance_factor", None, "ranks", 0.982, 0.0000),
-    _G("table2", "similarity", "dyads", "similarity", "just", "ranks", 0.977, 0.0000),
-    _G("table2", "relative periodicity", "dyads", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
+    _G("table2", "roughness", "roughness", None, "ranks", 0.967, 0.0000),
+    _G("table2", "sonance factor", "sonance_factor", None, "ranks", 0.982, 0.0000),
+    _G("table2", "similarity", "similarity", "just", "ranks", 0.977, 0.0000),
+    _G("table2", "relative periodicity", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
     # dyads: full correlation survey
-    _G("cor2", "sonance factor", "dyads", "sonance_factor", None, "ranks", 0.982, 0.0000),
-    _G("cor2", "relative periodicity (just)", "dyads", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
-    _G("cor2", "logarithmic periodicity (just)", "dyads", "log_periodicity", "just", "ranks", 0.982, 0.0000),
-    _G("cor2", "consonance raw value", None, None, None, "ranks", 0.978, 0.0000, "external"),
-    _G("cor2", "percentage similarity", "dyads", "similarity", "just", "ranks", 0.977, 0.0000),
-    _G("cor2", "roughness", "dyads", "roughness", None, "ranks", 0.967, 0.0000),
-    _G("cor2", "gradus suavitatis", "dyads", "gradus", "just", "ranks", 0.941, 0.0000, "info"),
-    _G("cor2", "consonance value", "dyads", "brefeld", "just", "ranks", 0.940, 0.0000, "info"),
-    _G("cor2", "pure tonalness", None, None, None, "ranks", 0.938, 0.0000, "external"),
-    _G("cor2", "relative periodicity (rational)", "dyads", "rel_periodicity", "rational", "ranks", 0.936, 0.0000),
-    _G("cor2", "logarithmic periodicity (rational)", "dyads", "log_periodicity", "rational", "ranks", 0.936, 0.0000),
-    _G("cor2", "dissonance curve", None, None, None, "ranks", 0.905, 0.0000, "external"),
-    _G("cor2", "omega measure", "dyads", "omega", "just", "ranks", 0.886, 0.0000, "info"),
-    _G("cor2", "generalized coincidence", None, None, None, "ranks", 0.841, 0.0002, "external"),
-    _G("cor2", "relative periodicity (pythagorean)", "dyads", "rel_periodicity", "pythagorean", "ranks", 0.817, 0.0003),
-    _G("cor2", "relative periodicity (kirnberger3)", "dyads", "rel_periodicity", "kirnberger3", "ranks", 0.796, 0.0006),
-    _G("cor2", "complex tonalness", None, None, None, "ranks", 0.738, 0.0020, "external"),
+    _G("cor2", "sonance factor", "sonance_factor", None, "ranks", 0.982, 0.0000),
+    _G("cor2", "relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
+    _G("cor2", "logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.982, 0.0000),
+    _G("cor2", "consonance raw value", None, None, "ranks", 0.978, 0.0000, "external"),
+    _G("cor2", "percentage similarity", "similarity", "just", "ranks", 0.977, 0.0000),
+    _G("cor2", "roughness", "roughness", None, "ranks", 0.967, 0.0000),
+    _G("cor2", "gradus suavitatis", "gradus", "just", "ranks", 0.941, 0.0000, "info"),
+    _G("cor2", "consonance value", "brefeld", "just", "ranks", 0.940, 0.0000, "info"),
+    _G("cor2", "pure tonalness", None, None, "ranks", 0.938, 0.0000, "external"),
+    _G("cor2", "relative periodicity (rational)", "rel_periodicity", "rational", "ranks", 0.936, 0.0000),
+    _G("cor2", "logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.936, 0.0000),
+    _G("cor2", "dissonance curve", None, None, "ranks", 0.905, 0.0000, "external"),
+    _G("cor2", "omega measure", "omega", "just", "ranks", 0.886, 0.0000, "info"),
+    _G("cor2", "generalized coincidence", None, None, "ranks", 0.841, 0.0002, "external"),
+    _G("cor2", "relative periodicity (pythagorean)", "rel_periodicity", "pythagorean", "ranks", 0.817, 0.0003),
+    _G("cor2", "relative periodicity (kirnberger3)", "rel_periodicity", "kirnberger3", "ranks", 0.796, 0.0006),
+    _G("cor2", "complex tonalness", None, None, "ranks", 0.738, 0.0020, "external"),
     # triads: footer of the main ranking table
-    _G("table3", "roughness", "triads", "roughness", None, "ranks", 0.352, 0.1193),
-    _G("table3", "instability", "triads", "instability", None, "ranks", 0.698, 0.0040),
-    _G("table3", "similarity", "triads", "similarity", "just", "ranks", 0.802, 0.0005),
-    _G("table3", "relative periodicity", "triads", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
-    _G("table3", "dual process", "triads", "dual_process", None, "ranks", 0.791, 0.0006),
+    _G("table3", "roughness", "roughness", None, "ranks", 0.352, 0.1193),
+    _G("table3", "instability", "instability", None, "ranks", 0.698, 0.0040),
+    _G("table3", "similarity", "similarity", "just", "ranks", 0.802, 0.0005),
+    _G("table3", "relative periodicity", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
+    _G("table3", "dual process", "dual_process", None, "ranks", 0.791, 0.0006),
     # triads: full correlation survey
-    _G("cor3", "relative periodicity (just)", "triads", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
-    _G("cor3", "logarithmic periodicity (just)", "triads", "log_periodicity", "just", "ranks", 0.831, 0.0002),
-    _G("cor3", "logarithmic periodicity (rational)", "triads", "log_periodicity", "rational", "ranks", 0.813, 0.0004),
-    _G("cor3", "relative periodicity (rational)", "triads", "rel_periodicity", "rational", "ranks", 0.808, 0.0004),
-    _G("cor3", "percentage similarity", "triads", "similarity", "just", "ranks", 0.802, 0.0005),
-    _G("cor3", "dual process", "triads", "dual_process", None, "ranks", 0.791, 0.0006),
-    _G("cor3", "consonance value", "triads", "brefeld", "just", "ranks", 0.755, 0.0014),
-    _G("cor3", "consonance degree", None, None, None, "ranks", 0.826, 0.0016, "external"),
-    _G("cor3", "dissonance curve", None, None, None, "ranks", 0.723, 0.0026, "external"),
-    _G("cor3", "instability", "triads", "instability", None, "ranks", 0.698, 0.0040),
-    _G("cor3", "gradus suavitatis", "triads", "gradus", "just", "ranks", 0.690, 0.0045, "info"),
-    _G("cor3", "sensory dissonance", None, None, None, "ranks", 0.607, 0.0139, "external"),
-    _G("cor3", "tension", None, None, None, "ranks", 0.599, 0.0153, "external"),
-    _G("cor3", "pure tonalness", None, None, None, "ranks", 0.675, 0.0162, "external"),
-    _G("cor3", "critical bandwidth", None, None, None, "ranks", 0.570, 0.0210, "external"),
-    _G("cor3", "temporal dissonance", None, None, None, "ranks", 0.503, 0.0399, "external"),
-    _G("cor3", "sonance factor", None, None, None, "ranks", 0.434, 0.0692, "external"),
-    _G("cor3", "roughness", "triads", "roughness", None, "ranks", 0.352, 0.1193),
+    _G("cor3", "relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
+    _G("cor3", "logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.831, 0.0002),
+    _G("cor3", "logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.813, 0.0004),
+    _G("cor3", "relative periodicity (rational)", "rel_periodicity", "rational", "ranks", 0.808, 0.0004),
+    _G("cor3", "percentage similarity", "similarity", "just", "ranks", 0.802, 0.0005),
+    _G("cor3", "dual process", "dual_process", None, "ranks", 0.791, 0.0006),
+    _G("cor3", "consonance value", "brefeld", "just", "ranks", 0.755, 0.0014),
+    _G("cor3", "consonance degree", None, None, "ranks", 0.826, 0.0016, "external"),
+    _G("cor3", "dissonance curve", None, None, "ranks", 0.723, 0.0026, "external"),
+    _G("cor3", "instability", "instability", None, "ranks", 0.698, 0.0040),
+    _G("cor3", "gradus suavitatis", "gradus", "just", "ranks", 0.690, 0.0045, "info"),
+    _G("cor3", "sensory dissonance", None, None, "ranks", 0.607, 0.0139, "external"),
+    _G("cor3", "tension", None, None, "ranks", 0.599, 0.0153, "external"),
+    _G("cor3", "pure tonalness", None, None, "ranks", 0.675, 0.0162, "external"),
+    _G("cor3", "critical bandwidth", None, None, "ranks", 0.570, 0.0210, "external"),
+    _G("cor3", "temporal dissonance", None, None, "ranks", 0.503, 0.0399, "external"),
+    _G("cor3", "sonance factor", None, None, "ranks", 0.434, 0.0692, "external"),
+    _G("cor3", "roughness", "roughness", None, "ranks", 0.352, 0.1193),
     # all 19 root-position three-tone chords
-    _G("table4", "roughness", "complete_triads", "roughness", None, "ranks", 0.761, 0.0001),
-    _G("table4", "roughness", "complete_triads", "roughness", None, "values", 0.746, 0.0001),
-    _G("table4", "similarity", "complete_triads", "similarity", "just", "ranks", 0.760, 0.0001),
-    _G("table4", "similarity", "complete_triads", "similarity", "just", "values", 0.765, 0.0001),
-    _G("table4", "relative periodicity", "complete_triads", "rel_periodicity", "just", "ranks", 0.713, 0.0003),
-    _G("table4", "relative periodicity", "complete_triads", "rel_periodicity", "just", "values", 0.548, 0.0075),
-    _G("table4", "logarithmic periodicity", "complete_triads", "log_periodicity", "just", "ranks", 0.867, 0.0000),
-    _G("table4", "logarithmic periodicity", "complete_triads", "log_periodicity", "just", "values", 0.810, 0.0000),
-    _G("table4", "dual process", "complete_triads", "dual_process", None, "ranks", 0.916, 0.0000),
+    _G("table4", "roughness", "roughness", None, "ranks", 0.761, 0.0001),
+    _G("table4", "roughness", "roughness", None, "values", 0.746, 0.0001),
+    _G("table4", "similarity", "similarity", "just", "ranks", 0.760, 0.0001),
+    _G("table4", "similarity", "similarity", "just", "values", 0.765, 0.0001),
+    _G("table4", "relative periodicity", "rel_periodicity", "just", "ranks", 0.713, 0.0003),
+    _G("table4", "relative periodicity", "rel_periodicity", "just", "values", 0.548, 0.0075),
+    _G("table4", "logarithmic periodicity", "log_periodicity", "just", "ranks", 0.867, 0.0000),
+    _G("table4", "logarithmic periodicity", "log_periodicity", "just", "values", 0.810, 0.0000),
+    _G("table4", "dual process", "dual_process", None, "ranks", 0.916, 0.0000),
     # heptatonic scales
-    _G("table6", "sonance factor", "church_modes", "sonance_factor", None, "ranks", 0.667, 0.0510),
-    _G("table6", "similarity", "church_modes", "similarity", None, "ranks", 0.036, 0.4697),
-    _G("table6", "logarithmic periodicity (just)", "church_modes", "log_periodicity", "just", "ranks", 0.786, 0.0181),
-    _G("table6", "logarithmic periodicity (rational)", "church_modes", "log_periodicity", "rational", "ranks", 0.964, 0.0002),
+    _G("table6", "sonance factor", "sonance_factor", None, "ranks", 0.667, 0.0510),
+    _G("table6", "similarity", "similarity", None, "ranks", 0.036, 0.4697),
+    _G("table6", "logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.786, 0.0181),
+    _G("table6", "logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.964, 0.0002),
 )
 
 # Each reproduction target: its dataset and the golden measure columns
@@ -649,7 +646,7 @@ def reproduce(target: str, tuning: str | None = None) -> ReproductionReport:
                 )
             )
             continue
-        assert golden.dataset is not None and golden.measure is not None
+        assert golden.measure is not None
         t = builtin_tuning(golden.tuning) if golden.tuning else None
         report = correlate_measure(dataset, golden.measure, t, golden.mode)
         mode_tag = "" if golden.mode == "ranks" else ", values"

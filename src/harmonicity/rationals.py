@@ -13,6 +13,7 @@ sum of its two parent fractions).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -23,7 +24,6 @@ __all__ = [
     "ApproximationTrace",
     "approximate",
     "lcm_many",
-    "mediant_sequence",
     "prime_factor_multiset",
 ]
 
@@ -116,6 +116,13 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
         raise UsageError(f"approximate() needs a finite x, got {x!r}")
     if x <= 0:
         raise UsageError(f"approximate() needs x > 0, got {x!r}")
+    # a subnormal x has no answer within the budget (its denominator would
+    # exceed 1/(2x) > 10**307), and (1-p)*x would underflow to 0
+    if isinstance(x, float) and x < sys.float_info.min:
+        raise UsageError(
+            f"approximate() needs a normal float x (at least {sys.float_info.min!r}), "
+            f"got {x!r}"
+        )
     if not 0 < p < 1:
         raise UsageError(f"approximate() needs a precision in (0, 1), got {p!r}")
 
@@ -185,54 +192,3 @@ def _run_length(numerator: Real, denominator: Real) -> int:
     if denominator <= 0:  # bound touching the interval edge in float rounding
         return 1
     return max(1, math.floor(numerator / denominator))
-
-
-def mediant_sequence(x: Real, steps: int = 12) -> list[Fraction]:
-    """Walk the mediant binary search between 0/1 and 1/1 toward ``x``,
-    recording each mediant that strictly improves on the closest
-    approximation found so far.
-
-    The walk stops after ``steps`` recorded mediants, or as soon as a
-    mediant hits ``x`` exactly.
-
-    >>> [str(f) for f in mediant_sequence(Fraction(1, 3), steps=2)]
-    ['1/2', '1/3']
-    """
-    if not 0 < x < 1:
-        raise UsageError(f"mediant_sequence() needs x strictly between 0 and 1, got {x!r}")
-    if not isinstance(steps, int) or steps < 1:
-        raise UsageError(f"mediant_sequence() needs a positive step count, got {steps!r}")
-
-    exact = not isinstance(x, float)
-    target: Real = Fraction(x) if exact else x
-
-    def error_of(f: Fraction) -> Real:
-        return abs(target - f) if exact else abs(target - f.numerator / f.denominator)
-
-    left, right = Fraction(0), Fraction(1)
-    recorded: list[Fraction] = []
-    best: Real | None = None
-    for _ in range(_MAX_MEDIANTS):
-        if len(recorded) >= steps:
-            break
-        step = _mediant(left, right)
-        error = error_of(step)
-        if best is None or error < best:
-            recorded.append(step)
-            best = error
-        if error == 0:
-            break
-        if _below(step, target, exact):
-            left = step
-        else:
-            right = step
-    else:
-        raise RuntimeError("mediant_sequence() exceeded its step budget")
-    return recorded
-
-
-def _below(f: Fraction, target: Real, exact: bool) -> bool:
-    """True when ``f`` lies strictly below the walk target."""
-    if exact:
-        return f < target
-    return f.numerator / f.denominator < target

@@ -44,7 +44,6 @@ from harmonicity import (
     enumerate_harmonies,
     evaluate_measure,
     load_dataset,
-    mediant_sequence,
     pearson,
     rank_table,
     rank_with_ties,
@@ -279,7 +278,8 @@ def test_criterion_10_property_suites():
 def test_criterion_11_mediant_demonstration():
     with criterion(11):
         target = math.log2(3 / 2)
-        sequence = mediant_sequence(target)
-        assert sequence[:5] == [F(1, 2), F(2, 3), F(3, 5), F(4, 7), F(7, 12)]
+        trace = approximate(target, 0.01)
+        assert trace.mediants == (F(1, 2), F(2, 3), F(3, 5), F(4, 7), F(7, 12))
+        assert trace.result == F(7, 12)
         deviation_percent = abs(7 / 12 - target) / target * 100.0
         assert abs(deviation_percent - 0.27) <= 0.01

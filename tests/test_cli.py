@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -454,6 +455,29 @@ def chord_argvs(draw):
     return argv if f1 is None else [*argv, "--f1", repr(f1)]
 
 
+@st.composite
+def approximate_argvs(draw):
+    """``approximate`` of any positive float (subnormals and the largest
+    included) or fraction p/q, at a precision in [1e-3, 1), in any format."""
+    if draw(st.booleans()):
+        value = repr(draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+    else:
+        value = f"{draw(st.integers(1, 10**9))}/{draw(st.integers(1, 1000))}"
+    precision = draw(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True))
+    return ["approximate", "--value", value, "--precision", repr(precision),
+            "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+
+
+def _printed_approximation(fmt, out):
+    """The accepted fraction as ``approximate`` prints it in ``fmt``."""
+    if fmt == "json":
+        return Fraction(json.loads(out)["result"])
+    if fmt == "csv":
+        _, numerator, denominator = out.splitlines()[-1].split(";")
+        return Fraction(int(numerator), int(denominator))
+    return Fraction(out.splitlines()[0].rsplit(": ", 1)[1])
+
+
 class TestFuzz:
     @settings(max_examples=200, deadline=None)
     @given(argv=chord_argvs())
@@ -469,6 +493,22 @@ class TestFuzz:
             warnings.simplefilter("error")
             code = main(argv)
         assert code in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=approximate_argvs())
+    @example(argv=["approximate", "--value", "1e-310", "--precision", "0.01", "--format", "text"])
+    @example(argv=["approximate", "--value", "5e-324", "--precision", "0.5", "--format", "text"])
+    @example(argv=["approximate", "--value", "1.7976931348623157e308", "--precision", "0.001",
+                   "--format", "json"])
+    def test_every_approximate_argv_exits_0_or_2_with_a_positive_result(self, argv):
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert _printed_approximation(argv[-1], out.getvalue()) > 0
 
 
 # One argv per subcommand that has --format; cor2 has rows without a

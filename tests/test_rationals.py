@@ -1,4 +1,4 @@
-"""Rational approximation: lcm helpers, Stern-Brocot search, mediant walk."""
+"""Rational approximation: lcm helpers and the Stern-Brocot search."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,6 @@ from harmonicity import (
     UsageError,
     approximate,
     lcm_many,
-    mediant_sequence,
     prime_factor_multiset,
 )
 
@@ -114,6 +113,12 @@ class TestApproximate:
         # ~10**7 mediants near an integer: refused before any run is stored
         with pytest.raises(UsageError, match="mediants at precision 1e-09"):
             approximate(1.0000001, 1e-9)
+        # subnormal x: 1/(2x) overflowed the run length, and (1-p)*x
+        # underflowed to 0, which was accepted as the approximation
+        with pytest.raises(UsageError, match="normal float"):
+            approximate(1e-310, 0.01)
+        with pytest.raises(UsageError, match="normal float"):
+            approximate(5e-324, 0.5)
 
     def test_exact_fraction_mode(self):
         # Fraction input keeps the interval arithmetic exact
@@ -151,37 +156,3 @@ class TestApproximate:
         num_lo, num_hi, den = brute_force_candidates(x, p)
         assert result.denominator == den
         assert num_lo <= result.numerator <= num_hi
-
-
-class TestMediantSequence:
-    def test_fifth_log_walk(self):
-        x = math.log2(1.5)
-        walk = mediant_sequence(x, steps=12)
-        assert walk[:5] == [
-            Fraction(1, 2),
-            Fraction(2, 3),
-            Fraction(3, 5),
-            Fraction(4, 7),
-            Fraction(7, 12),
-        ]
-
-    def test_strictly_improving(self):
-        x = math.log2(1.5)
-        walk = mediant_sequence(x, steps=20)
-        errors = [abs(float(f) - x) for f in walk]
-        assert all(a > b for a, b in zip(errors, errors[1:]))
-
-    def test_exact_hit_stops(self):
-        assert mediant_sequence(0.5, steps=10) == [Fraction(1, 2)]
-
-    def test_domain(self):
-        with pytest.raises(UsageError):
-            mediant_sequence(0.0)
-        with pytest.raises(UsageError):
-            mediant_sequence(1.0)
-
-    @given(st.floats(0.01, 0.99))
-    def test_improvement_property(self, x):
-        walk = mediant_sequence(x, steps=15)
-        errors = [abs(float(f) - x) for f in walk]
-        assert all(a > b for a, b in zip(errors, errors[1:]))
