@@ -81,12 +81,7 @@ class PitchSpec:
 
 def _parse_note_token(token: str, position: int) -> int:
     """MIDI note number of one scientific pitch name ("C4", "F#3", "Bb-1")."""
-    letter = token[0].upper()
-    if letter not in _NOTE_SEMITONES:
-        raise ParseError(
-            f"token {position}: {token!r} does not start with a note letter A-G"
-        )
-    rest = token[1:]
+    letter, rest = token[0].upper(), token[1:]
     accidental = ""
     if rest[:1] in ("#", "b"):
         accidental, rest = rest[0], rest[1:]
@@ -113,12 +108,13 @@ def parse_pitch_spec(text: str) -> PitchSpec:
     >>> spec.harmony.semitones, round(spec.reference_frequency, 2)
     ((0, 16, 19), 130.81)
     """
-    tokens = [t for t in text.replace(",", " ").split() if t]
+    tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty chord: give semitone offsets or pitch names")
 
     def is_offset(token: str) -> bool:
-        return token.lstrip("+-").isdigit() and token.lstrip("+-") != ""
+        # one optional sign, then decimal digits: a token int() reads
+        return (token[1:] if token[:1] in "+-" else token).isdecimal()
 
     def is_note(token: str) -> bool:
         return token[:1].upper() in _NOTE_SEMITONES
@@ -132,7 +128,10 @@ def parse_pitch_spec(text: str) -> PitchSpec:
 
     names = not all(is_offset(token) for token in tokens)
     if not names:
-        pitches = [int(token) for token in tokens]
+        try:
+            pitches = [int(token) for token in tokens]
+        except ValueError:  # past the digit limit of int()
+            raise ParseError("a semitone offset has more digits than int() converts") from None
     else:
         for position, token in enumerate(tokens, start=1):
             if is_offset(token):
@@ -347,7 +346,7 @@ def _cmd_approximate(args: argparse.Namespace) -> int:
     trace = approximate(target, args.precision)
     _emit(
         args.format,
-        text=lambda: [f"{args.value} within {args.precision:g}: {trace.result}"] + (
+        text=lambda: [f"{args.value} within {args.precision!r}: {trace.result}"] + (
             ["mediants: " + " ".join(str(m) for m in trace.mediants)] if trace.mediants else []
         ),
         csv=lambda: ["step;numerator;denominator"] + [

@@ -1,8 +1,8 @@
 """Embedded listening-test datasets and the correlation statistics used to
 compare computed consonance measures against them.
 
-Four datasets ship with the package as semicolon-delimited CSV resources
-(override the directory with the ``HARMONY_DATA_DIR`` environment variable):
+Four datasets ship with the package as semicolon-delimited CSV files in its
+``data`` directory (override it with the ``HARMONY_DATA_DIR`` variable):
 
 * ``dyads`` — 13 two-tone intervals with averaged empirical consonance
   ranks plus third-party roughness and sonance-factor columns.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -93,9 +92,9 @@ _DATASETS: dict[str, _DatasetSpec] = {
 DATASET_IDS = tuple(_DATASETS)
 
 # Orientation of the static columns that grow with consonance; every other
-# static column grows with dissonance (+1).  Recomputed measures take their
-# orientation from the measure registry.
-_COLUMN_ORIENTATION = {"sonance_factor": -1, "similarity": -1}
+# static column grows with dissonance (+1).  A column named after a measure
+# (similarity, the periodicities) takes the measure registry's orientation.
+_COLUMN_ORIENTATION = {"sonance_factor": -1}
 
 
 @dataclass(frozen=True)
@@ -127,22 +126,12 @@ class EmpiricalDataset:
 
 
 def _data_text(dataset_id: str) -> str:
-    override = os.environ.get("HARMONY_DATA_DIR")
-    if override:
-        path = Path(override) / f"{dataset_id}.csv"
-        try:
-            return path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read dataset file {path}: {exc}") from exc
+    directory = os.environ.get("HARMONY_DATA_DIR") or Path(__file__).parent / "data"
+    path = Path(directory) / f"{dataset_id}.csv"
     try:
-        return (
-            resources.files(__package__)
-            .joinpath("data")
-            .joinpath(f"{dataset_id}.csv")
-            .read_text(encoding="utf-8")
-        )
-    except OSError as exc:  # pragma: no cover - packaging defect
-        raise DataError(f"packaged dataset {dataset_id!r} is missing: {exc}") from exc
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
 
 
 def load_dataset(dataset_id: str) -> EmpiricalDataset:
@@ -202,7 +191,7 @@ def load_dataset(dataset_id: str) -> EmpiricalDataset:
 # statistics
 
 
-def rank_with_ties(values: Sequence[float], ascending: bool = True) -> list[float]:
+def rank_with_ties(values: Sequence[float]) -> list[float]:
     """Rank values from 1, giving equal values the mean of the positions
     they occupy.
 
@@ -211,13 +200,12 @@ def rank_with_ties(values: Sequence[float], ascending: bool = True) -> list[floa
     """
     if not values:
         raise UsageError("rank_with_ties() needs at least one value")
-    keyed = list(values) if ascending else [-v for v in values]
-    order = sorted(range(len(keyed)), key=keyed.__getitem__)
-    ranks = [0.0] * len(keyed)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
     start = 0
     while start < len(order):
         stop = start
-        while stop + 1 < len(order) and keyed[order[stop + 1]] == keyed[order[start]]:
+        while stop + 1 < len(order) and values[order[stop + 1]] == values[order[start]]:
             stop += 1
         shared = (start + stop) / 2 + 1
         for position in range(start, stop + 1):
@@ -387,15 +375,16 @@ def correlate_measure(
     """
     if mode not in ("ranks", "values"):
         raise UsageError(f"mode must be 'ranks' or 'values', got {mode!r}")
-    values = measure_values(dataset, measure, t)
-    if t is not None and measure in MEASURES:
-        orientation, tuning_name = MEASURES[measure].orientation, t.name
+    if measure in MEASURES:
+        orientation = MEASURES[measure].orientation
     else:
-        orientation, tuning_name = _COLUMN_ORIENTATION.get(measure, 1), ""
+        orientation = _COLUMN_ORIENTATION.get(measure, 1)
+    # oriented so that smaller means more consonant
+    values = [orientation * v for v in measure_values(dataset, measure, t)]
 
     if mode == "ranks":
         x = rank_with_ties([item.empirical for item in dataset.items])
-        y = rank_with_ties(values, ascending=orientation > 0)
+        y = rank_with_ties(values)
     else:
         rating_orientation = _DATASETS[dataset.id].rating
         if rating_orientation is None:
@@ -403,13 +392,13 @@ def correlate_measure(
         ratings = dataset.static_columns["rating"]
         paired = [(r_, v) for r_, v in zip(ratings, values) if r_ is not None]
         x = [rating_orientation * r_ for r_, _ in paired]
-        y = [orientation * v for _, v in paired]
+        y = [v for _, v in paired]
 
     r = pearson(x, y)
     return CorrelationReport(
         dataset=dataset.id,
         measure=measure,
-        tuning=tuning_name,
+        tuning=t.name if t is not None and measure in MEASURES else "",
         mode=mode,
         r=r,
         n=len(x),

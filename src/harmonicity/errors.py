@@ -28,7 +28,8 @@ class UsageError(HarmonicityError, ValueError):
 class TuningError(UsageError):
     """A tuning without exact frequency ratios was used where ratios are
     required (equal temperament has irrational ratios, so period lengths
-    have no finite common multiple)."""
+    have no finite common multiple), or a rational tuning's deviation bound
+    is too coarse to give increasing ratios."""
 
 
 class UndefinedMeasureError(UsageError):

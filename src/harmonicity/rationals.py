@@ -181,9 +181,13 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
         # A run can end exactly on the interval edge; accept it there.
         if accepted(node):
             return ApproximationTrace(x, p, tuple(mediants), node)
+    # below x = 1/(2 * (budget + 1)) no precision helps: the first run, 1/2,
+    # 1/3, ..., must reach some 1/n <= (1+p)x < 2x, which takes n-1 mediants
+    advice = (f"x = {x} is too small for that budget at any precision"
+              if 2 * x * (_MAX_MEDIANTS + 1) <= 1 else "ask for a coarser precision")
     raise UsageError(
         f"approximate() would record more than {_MAX_MEDIANTS} mediants at "
-        f"precision {p}; ask for a coarser precision"
+        f"precision {p}; {advice}"
     )
 
 

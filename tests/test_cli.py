@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -335,6 +337,11 @@ class TestOracleCommand:
         assert "h = 124416" in proc.stdout
         assert "(agree at" in proc.stdout
 
+    def test_tolerance_flag(self, capsys):
+        code, out, err = run(capsys, ["oracle", "--chord", "0,4,7", "--tolerance", "0.5"])
+        assert code == 0
+        assert out.splitlines()[-1] == "relative difference: 0 (agree at tolerance 0.5)"
+
     def test_short_horizon_fails(self, capsys):
         code, out, err = run(capsys, ["oracle", "--chord", "0,1",
                                       "--horizon", "10"])
@@ -412,11 +419,46 @@ class TestErrorHandling:
         (["oracle", "--chord", "0,4,7", "--f1", "1e-308"], "error: a lowest tone of 1e-308 Hz"),
         (["oracle", "--chord", "0,4,7", "--f1", "1e308"], "error: a lowest tone of 1e+308 Hz"),
         (["oracle", "--chord", "0,4,7", "--f1", "1e-307"], "error: a lowest tone of 1e-307 Hz"),
+        # tokens that int() cannot read: two signs, a digit that is not decimal;
+        # and an offset past int()'s digit limit
+        (["analyze", "--chord", "0,--4"],
+         "error: token 2: '--4' is neither a semitone offset nor a pitch name"),
+        (["analyze", "--chord", "0,+-4"],
+         "error: token 2: '+-4' is neither a semitone offset nor a pitch name"),
+        (["analyze", "--chord", "0,\u00b2"],
+         "error: token 2: '\u00b2' is neither a semitone offset nor a pitch name"),
+        (["oracle", "--chord", "0,--4"],
+         "error: token 2: '--4' is neither a semitone offset nor a pitch name"),
+        (["oracle", "--chord", "0,+-4"],
+         "error: token 2: '+-4' is neither a semitone offset nor a pitch name"),
+        (["oracle", "--chord", "0,\u00b2"],
+         "error: token 2: '\u00b2' is neither a semitone offset nor a pitch name"),
+        (["analyze", "--chord", "0," + "1" * 5000],
+         "error: a semitone offset has more digits than int() converts"),
+        # values so small that no precision fits the mediant budget, and
+        # values that are not finite
+        (["approximate", "--value", "1/10000000000", "--precision", "0.5"],
+         "error: approximate() would record more than 1000000 mediants at precision 0.5; "
+         "x = 1/10000000000 is too small for that budget at any precision"),
+        (["approximate", "--value", "1e-300", "--precision", "0.99"],
+         "error: approximate() would record more than 1000000 mediants at precision 0.99; "
+         "x = 1e-300 is too small for that budget at any precision"),
+        (["approximate", "--value", "4e-7", "--precision", "0.999"],
+         "error: approximate() would record more than 1000000 mediants at precision 0.999; "
+         "x = 4e-07 is too small for that budget at any precision"),
+        (["approximate", "--value", "inf", "--precision", "0.01"],
+         "error: approximate() needs a finite x, got inf"),
+        (["approximate", "--value", "nan", "--precision", "0.01"],
+         "error: approximate() needs a finite x, got nan"),
     ], ids=["chord-token", "value-1/0", "value-abc", "value-1/-2", "oracle-f1-0",
             "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative",
             "approximate-budget", "chord-span-names", "chord-span-offsets",
             "horizon-budget", "note-above-midi", "note-below-midi",
-            "f1-tiny", "f1-huge", "f1-lags"])
+            "f1-tiny", "f1-huge", "f1-lags", "chord-two-signs", "chord-sign-pair",
+            "chord-superscript", "oracle-two-signs", "oracle-sign-pair",
+            "oracle-superscript", "chord-offset-digits", "approximate-tiny-fraction",
+            "approximate-tiny-float", "approximate-below-budget", "value-inf",
+            "value-nan"])
     def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
         try:
             code = main(argv)
@@ -453,6 +495,22 @@ def chord_argvs(draw):
         argv = ["oracle", "--chord", chord, "--tuning", tuning]
     f1 = draw(st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     return argv if f1 is None else [*argv, "--f1", repr(f1)]
+
+
+@st.composite
+def chord_texts(draw):
+    """``--chord`` text from offset-like and name-like tokens: runs of signs,
+    ASCII and other Unicode digits (superscript two is not decimal), note
+    letters with accidentals and signed octaves, joined by runs of commas,
+    spaces and tabs."""
+    signs = st.sampled_from(["", "+", "-", "--", "+-"])
+    digits = st.text("0123456789\u00b2\u0663\uff14", min_size=1, max_size=3)
+    offset = st.tuples(signs, digits).map("".join)
+    name = st.tuples(st.sampled_from("ABCDEFGHcx"), st.sampled_from(["", "#", "b"]),
+                     signs, digits).map("".join)
+    tokens = draw(st.lists(offset | name, min_size=1, max_size=8))
+    separators = st.text(", \t", min_size=1, max_size=2)
+    return "".join(token + draw(separators) for token in tokens[:-1]) + tokens[-1]
 
 
 @st.composite
@@ -495,11 +553,27 @@ class TestFuzz:
         assert code in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["analyze", "oracle"]), chord=chord_texts())
+    @example(command="analyze", chord="0,--4")
+    @example(command="oracle", chord="0,--4")
+    @example(command="analyze", chord="0,\u00b2")
+    @example(command="oracle", chord="0,\u00b2")
+    @example(command="analyze", chord="0," + "1" * 5000)
+    def test_every_chord_text_exits_0_1_or_2(self, command, chord):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main([command, f"--chord={chord}"])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
     @given(argv=approximate_argvs())
     @example(argv=["approximate", "--value", "1e-310", "--precision", "0.01", "--format", "text"])
     @example(argv=["approximate", "--value", "5e-324", "--precision", "0.5", "--format", "text"])
     @example(argv=["approximate", "--value", "1.7976931348623157e308", "--precision", "0.001",
                    "--format", "json"])
+    @example(argv=["approximate", "--value", "1e308", "--precision", "0.9999999999",
+                   "--format", "text"])
     def test_every_approximate_argv_exits_0_or_2_with_a_positive_result(self, argv):
         out = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
@@ -509,6 +583,8 @@ class TestFuzz:
         assert code in (0, 2)
         if code == 0:
             assert _printed_approximation(argv[-1], out.getvalue()) > 0
+            if argv[-1] == "text":  # the value and the precision are echoed as given
+                assert out.getvalue().startswith(f"{argv[2]} within {argv[4]}: ")
 
 
 # One argv per subcommand that has --format; cor2 has rows without a
@@ -535,6 +611,32 @@ def test_json_parses_and_csv_rows_match_header(capsys, argv):
     separator = ";" if ";" in header else ","
     assert rows
     assert all(row.count(separator) == header.count(separator) for row in rows)
+
+
+def _readme_tour():
+    """Each ``$ harmonicity ...`` command in README.md with the output lines
+    shown under it, up to the next blank line or code fence."""
+    examples = []
+    shown = None
+    for line in (Path(__file__).parents[1] / "README.md").read_text("utf-8").splitlines():
+        if line.startswith("$ harmonicity "):
+            shown = []
+            examples.append(pytest.param(shlex.split(line)[2:], shown, id=line[2:]))
+        elif not line.strip() or line.startswith("```"):
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+@pytest.mark.parametrize("argv, shown", _readme_tour())
+def test_readme_cli_tour_matches_real_output(capsys, argv, shown):
+    # a line holding only "..." stands for any run of skipped lines
+    pattern = "".join(
+        r"(?:.*\n)*" if line.strip() == "..." else re.escape(line) + r"\n" for line in shown
+    )
+    code, out, err = run(capsys, argv)
+    assert re.fullmatch(pattern, out), out
 
 
 class TestInstalledEntryPoint:

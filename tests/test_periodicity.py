@@ -44,6 +44,8 @@ class TestHarmony:
             Harmony((0, 4, 4))
         with pytest.raises(UsageError):
             Harmony(())
+        with pytest.raises(UsageError, match="must be integers"):
+            Harmony((0, 1.5))
 
     def test_from_offsets_normalizes(self):
         assert Harmony.from_offsets([60, 64, 67]).semitones == (0, 4, 7)

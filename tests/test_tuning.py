@@ -89,6 +89,11 @@ class TestBuiltins:
             assert float(t.ratios[k]) == pytest.approx(2 ** (k / 12), rel=1e-12)
             assert deviation(t, k) == 0.0
 
+    @pytest.mark.parametrize("k", [-1, 13])
+    def test_deviation_outside_the_octave(self, k):
+        with pytest.raises(UsageError, match="needs a semitone in 0..12"):
+            deviation(builtin_tuning("just"), k)
+
     def test_thirteen_interval_names(self):
         assert len(INTERVAL_NAMES) == 13
         assert INTERVAL_NAMES[0] == "unison"
