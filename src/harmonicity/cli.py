@@ -79,6 +79,11 @@ class PitchSpec:
     reference_frequency: float | None
 
 
+def _reads_as_int(token: str) -> bool:
+    """One optional sign, then decimal digits: a token int() reads."""
+    return (token[1:] if token[:1] in "+-" else token).isdecimal()
+
+
 def _parse_note_token(token: str, position: int) -> int:
     """MIDI note number of one scientific pitch name ("C4", "F#3", "Bb-1")."""
     letter, rest = token[0].upper(), token[1:]
@@ -88,6 +93,11 @@ def _parse_note_token(token: str, position: int) -> int:
     try:
         octave = int(rest)
     except ValueError:
+        if _reads_as_int(rest):  # past the digit limit of int()
+            raise ParseError(
+                f"token {position}: {token[:12]!r}... has an octave of more than "
+                f"{sys.get_int_max_str_digits()} digits, the limit of int()"
+            ) from None
         raise ParseError(
             f"token {position}: {token!r} needs an integer octave after "
             f"{letter + accidental!r}"
@@ -112,21 +122,17 @@ def parse_pitch_spec(text: str) -> PitchSpec:
     if not tokens:
         raise ParseError("empty chord: give semitone offsets or pitch names")
 
-    def is_offset(token: str) -> bool:
-        # one optional sign, then decimal digits: a token int() reads
-        return (token[1:] if token[:1] in "+-" else token).isdecimal()
-
     def is_note(token: str) -> bool:
         return token[:1].upper() in _NOTE_SEMITONES
 
     for position, token in enumerate(tokens, start=1):
-        if not is_offset(token) and not is_note(token):
+        if not _reads_as_int(token) and not is_note(token):
             raise ParseError(
                 f"token {position}: {token!r} is neither a semitone offset "
                 "nor a pitch name"
             )
 
-    names = not all(is_offset(token) for token in tokens)
+    names = not all(_reads_as_int(token) for token in tokens)
     if not names:
         try:
             pitches = [int(token) for token in tokens]
@@ -134,7 +140,7 @@ def parse_pitch_spec(text: str) -> PitchSpec:
             raise ParseError("a semitone offset has more digits than int() converts") from None
     else:
         for position, token in enumerate(tokens, start=1):
-            if is_offset(token):
+            if _reads_as_int(token):
                 raise ParseError(
                     f"token {position}: {token!r} mixes offsets with pitch names"
                 )

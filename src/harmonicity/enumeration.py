@@ -5,7 +5,9 @@ contains the root 0, so there are 2^11 = 2048 of them: C(11, k-1) per
 tone count k.  ``rank_table`` evaluates one consonance measure for every
 harmony of a category and sorts most consonant first, by the measure's
 orientation, breaking ties lexicographically by semitone tuple so output
-is byte-identical across runs.
+is byte-identical across runs.  A category is evaluated on ints, from one
+``(numerator, denominator)`` table of the tuning, by the measures' column
+kernel, which equals the Fraction reference ``evaluate_measure`` by ``repr``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import chain, combinations
 from typing import Iterator
 
 from .errors import UsageError
-from .measures import MEASURES, evaluate_measure, lookup_measure
+from .measures import MEASURES, _column_values, lookup_measure
 from .periodicity import Harmony
 from .tuning import TuningTable
 
@@ -107,8 +109,9 @@ def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[Rank
             key=lambda row: (orientation * row.value, row.harmony.semitones),
         ))
     else:
+        harmonies = _category(cardinality)
         evaluated = sorted(
-            ((evaluate_measure(h.semitones, measure, t), h) for h in _category(cardinality)),
+            zip(_column_values(harmonies, measure, t), harmonies),
             key=lambda pair: (orientation * pair[0], pair[1].semitones),
         )
         rows = tuple(RankedRow(rank, h, value)

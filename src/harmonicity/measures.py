@@ -19,6 +19,12 @@ intervals are mapped by semitone *distance*
 (``ratio_for_semitone(t, n_j - n_i)``), not by dividing the two tones'
 ratios; in unequal tunings the two differ, and only the distance reading
 reproduces the reference similarity tables.
+
+:func:`evaluate_measure` computes on :class:`~fractions.Fraction` values and
+is the reference.  The ranked one-octave columns of
+:mod:`harmonicity.enumeration` come from ``_column_values`` instead, which
+computes the same floats, equal by ``repr``, on plain ints from one
+``(numerator, denominator)`` table per tuning.
 """
 
 from __future__ import annotations
@@ -84,25 +90,29 @@ def _ratio_product_factors(tones: Sequence[int], t: TuningTable) -> dict[int, in
     )
 
 
-def _gradus(tones: Sequence[int], t: TuningTable) -> int:
+def _gradus_of(factors: dict[int, int]) -> int:
     # 1 + sum(m_i * (p_i - 1)) over the factorization prod(p_i ** m_i)
-    return 1 + sum(m * (p - 1) for p, m in _ratio_product_factors(tones, t).items())
+    return 1 + sum(m * (p - 1) for p, m in factors.items())
 
 
-def _omega(tones: Sequence[int], t: TuningTable) -> int:
-    return sum(_ratio_product_factors(tones, t).values())
+def _omega_of(factors: dict[int, int]) -> int:
+    return sum(factors.values())
 
 
-def _brefeld(tones: Sequence[int], t: TuningTable) -> float:
-    # the 2k-th root of the full product over k intervals
-    intervals = pairwise_intervals(tones, t)
-    product = math.prod(r.numerator * r.denominator for r in intervals)
-    exponent = 1.0 / (2 * len(intervals))
+def _root(product: int, count: int) -> float:
+    """The ``count``-th root of the positive int ``product``."""
+    exponent = 1.0 / count
     try:
         return float(product) ** exponent
     except OverflowError:
         # wide chords outgrow a float; math.log takes any int
         return math.exp(math.log(product) * exponent)
+
+
+def _brefeld(tones: Sequence[int], t: TuningTable) -> float:
+    # the 2k-th root of the full product over k intervals
+    intervals = pairwise_intervals(tones, t)
+    return _root(math.prod(r.numerator * r.denominator for r in intervals), 2 * len(intervals))
 
 
 def _similarity(tones: Sequence[int], t: TuningTable) -> float:
@@ -119,8 +129,8 @@ MEASURES: dict[str, Measure] = {
         Measure("rel_periodicity", lambda tones, t: _periodicity(tones, t).mean_h, 1),
         Measure("log_periodicity", lambda tones, t: _periodicity(tones, t).mean_log_h, 1),
         Measure("similarity", _similarity, -1),
-        Measure("gradus", _gradus, 1),
-        Measure("omega", _omega, 1),
+        Measure("gradus", lambda tones, t: _gradus_of(_ratio_product_factors(tones, t)), 1),
+        Measure("omega", lambda tones, t: _omega_of(_ratio_product_factors(tones, t)), 1),
         Measure("brefeld", _brefeld, 1),
     )
 }
@@ -150,3 +160,39 @@ def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> floa
     46.67
     """
     return float(lookup_measure(measure).compute(tones, t))
+
+
+def _column_values(harmonies: Sequence[Harmony], measure: str, t: TuningTable) -> list[float]:
+    """``evaluate_measure(h.semitones, measure, t)`` for each one-octave
+    harmony, equal by ``repr``, computed on ints from one ``(numerator,
+    denominator)`` pair per offset -11..11 instead of Fractions per view."""
+    if measure in ("similarity", "brefeld") and any(len(h) < 2 for h in harmonies):
+        pairwise_intervals((0,), t)  # raises the reference's error
+    pairs = {n: ratio_for_semitone(t, n).as_integer_ratio() for n in range(-11, 12)}
+    if measure in ("rel_periodicity", "log_periodicity"):
+        def value(s: tuple[int, ...]) -> float:
+            # h' of the view from tone m: lcm of its denominators // b_low * a_low
+            views = [math.lcm(*(pairs[n - m][1] for n in s)) // pairs[-m][1] * pairs[-m][0]
+                     for m in s]
+            if measure == "rel_periodicity":
+                return sum(views) / len(views)  # rounds like float(Fraction)
+            return math.fsum(map(math.log2, views)) / len(views)
+    elif measure == "similarity":
+        # each distance's (a + b - 1) / (a * b) over one common denominator
+        common = math.lcm(*(pairs[d][0] * pairs[d][1] for d in range(1, 12)))
+        terms = {d: (a + b - 1) * (common // (a * b)) for d, (a, b) in pairs.items() if d > 0}
+
+        def value(s: tuple[int, ...]) -> float:
+            total = sum(terms[high - low] for low, high in combinations(s, 2))
+            return total * 100 / (common * (len(s) * (len(s) - 1) // 2))
+    elif measure == "brefeld":
+        def value(s: tuple[int, ...]) -> float:
+            intervals = [pairs[high - low] for low, high in combinations(s, 2)]
+            return _root(math.prod(a * b for a, b in intervals), 2 * len(intervals))
+    else:
+        of = _gradus_of if measure == "gradus" else _omega_of
+
+        def value(s: tuple[int, ...]) -> float:
+            return of(prime_factor_multiset(math.lcm(*(pairs[n][0] for n in s))
+                                            * math.lcm(*(pairs[n][1] for n in s))))
+    return [float(value(h.semitones)) for h in harmonies]

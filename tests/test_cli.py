@@ -1,6 +1,7 @@
 """Command-line interface: chord parsing, subcommands, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -197,6 +198,52 @@ class TestRankCommand:
                                       "2", "--top", "1", "--format", "csv"])
         assert code == 0
         assert out.splitlines()[1] == "1;0,7;2;1"
+
+
+# SHA-256 of every `rank --format csv` run's exit code and stdout per
+# (tuning flags, measure), taken from the Fraction-per-harmony ranking that
+# preceded the integer column kernel; pairwise measures are ranked once per
+# cardinality 2..12, the others over the whole octave
+RANK_DIGESTS = {
+    ("just", "rel_periodicity"): "0c944793dcfc2fe48832f2207a0479edb2adea9c78bb0f0e22822cb15f3f9fc4",
+    ("just", "log_periodicity"): "c186171de6bf079d91d10d604f6b54268e0b50ca8b4e6971de94c6c4b91f9194",
+    ("just", "similarity"): "4ff99bd94d20993fa5719e7ddca24b251834eae5255d0210231357bd6b2f498f",
+    ("just", "gradus"): "c7a5bf826d7ae2c2d6a2ddfd028c2cb2fbcac5dd85cfaeefbea5050880940494",
+    ("just", "omega"): "08d6cd4d461bc2f04f64b16c40a564878df979903198c0dd1b2808fe59225f64",
+    ("just", "brefeld"): "dc71afa4b44f7a1f43e42ef434f377a2a5d68af490cb3786dc04a944f7e9d992",
+    ("rational", "rel_periodicity"): "51ea1f2421b816d3819213f03e9dc02807d3ac52227d461950e1692bc4fee620",
+    ("rational", "log_periodicity"): "aa96116d3916d1af674c3b196f983275dfb0995539d4d57e07043057360df2a9",
+    ("rational", "similarity"): "19516535827da36328126c7b17b2b7f6de2b4a44136a7e741ccbdedf0ce7ab6d",
+    ("rational", "gradus"): "c6963c80342e5e46fbb6f32fb16c09898b76a0f3f1c92cad262e3e17d0d8a4eb",
+    ("rational", "omega"): "4ee19cf4d771a83409edb564b4ffc5077e9b7037c283bf7aaa036083e64c9de4",
+    ("rational", "brefeld"): "b1141c0e6798703c1e2766865fed97f0a9348d40b5868648105bff85a9e66a08",
+    ("pythagorean", "rel_periodicity"): "932b955510908b2a511fc33bbeb0323686bddd3949deed03b4925a30333809f1",
+    ("pythagorean", "log_periodicity"): "3f4ea89ef800f4301092b4732a43f77bc308701c3924c7224a798fad076640de",
+    ("pythagorean", "similarity"): "a1964994fe722a2cccd09ab4ee81c806ebf1b079f5764cb26e815f1e14213539",
+    ("pythagorean", "gradus"): "4cf58f48d1ea541a8363ce8ad85180c98bffef833692bcdf484e8e1436b07dd2",
+    ("pythagorean", "omega"): "4fef4274bd25dec1f4d205610d979d33b3fb1dd95946dbdd50bd75f87520e241",
+    ("pythagorean", "brefeld"): "fc85a7224e1239e87c66ee6389a0b90edf00bc7b9a46e295cdf1beb7940f5724",
+    ("kirnberger3", "rel_periodicity"): "94ca7a30dd45f2d8df95555a36a3b2037cfe9121dc575b0e90fadc493b3d1efc",
+    ("kirnberger3", "log_periodicity"): "d2c27bb8025bc491fbf85d96add7fff72556dacb930b3767270b2e7556769b69",
+    ("kirnberger3", "similarity"): "6742f7e242b84b7b9843f8f05d984bf4d18320b14d986128ef28780ef7a9d0dc",
+    ("kirnberger3", "gradus"): "a3234237acc2e4622385527817ec085a5322ad6973ab6deaf5b2fa6bca2f6526",
+    ("kirnberger3", "omega"): "b929a2cde7f781b818a5347c6418a1ca25afec95b0758b82754e8e7ada744db7",
+    ("kirnberger3", "brefeld"): "471be983afd02c5ca4cfa2fc7dc0f887a30e6d5cedc0ab934f4eb250ac813cc4",
+    ("rational --precision 0.005", "log_periodicity"): "53d7bd8982528983c0bb4bab78debd5f1e278e12f68bfa995fa219db3ea579d5",
+}
+
+
+@pytest.mark.parametrize("tuning, measure", RANK_DIGESTS, ids=" ".join)
+def test_rank_csv_bytes_are_unchanged(capsys, tuning, measure):
+    digest = hashlib.sha256()
+    pairwise = measure in ("similarity", "brefeld")
+    for cardinality in range(2, 13) if pairwise else (None,):
+        argv = ["rank", "--tuning", *tuning.split(), "--measure", measure, "--format", "csv"]
+        if cardinality is not None:
+            argv += ["--cardinality", str(cardinality)]
+        code, out, err = run(capsys, argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == RANK_DIGESTS[tuning, measure]
 
 
 class TestCorrelateCommand:
@@ -450,6 +497,18 @@ class TestErrorHandling:
          "error: approximate() needs a finite x, got inf"),
         (["approximate", "--value", "nan", "--precision", "0.01"],
          "error: approximate() needs a finite x, got nan"),
+        # a pitch-name octave past int()'s digit limit, shown truncated
+        (["analyze", "--chord", "C" + "1" * 5000 + " E4"],
+         "error: token 1: 'C11111111111'... has an octave of more than 4300 digits, "
+         "the limit of int()"),
+        # ranked columns that cannot be computed
+        (["rank", "--tuning", "equal", "--measure", "gradus", "--cardinality", "3"],
+         "error: tuning 'equal' has irrational ratios; period lengths need exact "
+         "fractions (pick a rational-valued tuning such as 'just' or 'rational')"),
+        (["rank", "--measure", "brefeld", "--cardinality", "1"],
+         "error: pairwise-interval measures need at least two tones"),
+        (["rank", "--measure", "similarity"],
+         "error: pairwise-interval measures need at least two tones"),
     ], ids=["chord-token", "value-1/0", "value-abc", "value-1/-2", "oracle-f1-0",
             "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative",
             "approximate-budget", "chord-span-names", "chord-span-offsets",
@@ -458,7 +517,8 @@ class TestErrorHandling:
             "chord-superscript", "oracle-two-signs", "oracle-sign-pair",
             "oracle-superscript", "chord-offset-digits", "approximate-tiny-fraction",
             "approximate-tiny-float", "approximate-below-budget", "value-inf",
-            "value-nan"])
+            "value-nan", "note-octave-digits", "rank-equal", "rank-pairwise-one-tone",
+            "rank-pairwise-whole-octave"])
     def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
         try:
             code = main(argv)

@@ -19,10 +19,11 @@ from harmonicity import (
     enumerate_harmonies,
     evaluate_measure,
     rank_table,
+    ratio_for_semitone,
     rational_tuning,
     top_share_count,
 )
-from harmonicity import enumeration
+from harmonicity import enumeration, measures
 
 JUST = builtin_tuning("just")
 
@@ -180,14 +181,14 @@ class TestRankedColumn:
     def test_warm_tables_evaluate_nothing(self, monkeypatch):
         calls = []
 
-        def counting(tones, measure, t):
-            calls.append(tones)
-            return evaluate_measure(tones, measure, t)
+        def counting(harmonies, measure, t):
+            calls.append(len(harmonies))
+            return measures._column_values(harmonies, measure, t)
 
         monkeypatch.setattr(enumeration, "_COLUMNS", {})
-        monkeypatch.setattr(enumeration, "evaluate_measure", counting)
+        monkeypatch.setattr(enumeration, "_column_values", counting)
         first = rank_table(JUST, "gradus", 4)
-        assert len(calls) == math.comb(11, 3)
+        assert calls == [math.comb(11, 3)]
         calls.clear()
         assert rank_table(JUST, "gradus", 4, top=3).rows == first.rows[:3]
         assert rank_table(JUST, "gradus", 4).rows == first.rows
@@ -197,6 +198,20 @@ class TestRankedColumn:
         calls.clear()
         assert len(rank_table(JUST, "omega").rows) == 2048
         assert calls == []
+
+    def test_cold_column_looks_up_each_offset_once(self, monkeypatch):
+        looked_up = []
+
+        def counting(t, n):
+            looked_up.append(n)
+            return ratio_for_semitone(t, n)
+
+        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+        monkeypatch.setattr(measures, "ratio_for_semitone", counting)
+        for name in MEASURES:
+            looked_up.clear()
+            rank_table(JUST, name, 7)
+            assert sorted(looked_up) == list(range(-11, 12)), name
 
     def test_failed_full_table_leaves_categories_correct(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_COLUMNS", {})

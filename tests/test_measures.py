@@ -21,10 +21,13 @@ from harmonicity import (
     UsageError,
     analyze,
     builtin_tuning,
+    enumerate_harmonies,
     evaluate_measure,
     pairwise_intervals,
     prime_factor_multiset,
+    rational_tuning,
 )
+from harmonicity import measures
 
 JUST = builtin_tuning("just")
 gradus = MEASURES["gradus"].compute
@@ -266,3 +269,21 @@ class TestEvaluateMeasure:
         for name in MEASURES:
             value = evaluate_measure((0, 4, 7), name, JUST)
             assert isinstance(value, float) and value > 0.0
+
+
+class TestColumnValues:
+    """The integer kernel behind the ranked columns against the Fraction
+    reference ``evaluate_measure``, on every one-octave harmony."""
+
+    @pytest.mark.parametrize("tuning", [
+        builtin_tuning("just"), builtin_tuning("pythagorean"),
+        builtin_tuning("kirnberger3"), builtin_tuning("rational"), rational_tuning(0.001),
+    ], ids=["just", "pythagorean", "kirnberger3", "rational", "rational-0.001"])
+    def test_equals_evaluate_measure_by_repr(self, tuning):
+        harmonies = list(enumerate_harmonies())
+        for name in MEASURES:
+            # pairwise measures reject the single tone {0}, the first harmony
+            scored = harmonies[1:] if name in ("similarity", "brefeld") else harmonies
+            column = measures._column_values(scored, name, tuning)
+            expected = [repr(evaluate_measure(h.semitones, name, tuning)) for h in scored]
+            assert list(map(repr, column)) == expected, name
