@@ -90,17 +90,17 @@ def _parse_note_token(token: str, position: int) -> int:
     accidental = ""
     if rest[:1] in ("#", "b"):
         accidental, rest = rest[0], rest[1:]
-    try:
-        octave = int(rest)
-    except ValueError:
-        if _reads_as_int(rest):  # past the digit limit of int()
-            raise ParseError(
-                f"token {position}: {token[:12]!r}... has an octave of more than "
-                f"{sys.get_int_max_str_digits()} digits, the limit of int()"
-            ) from None
+    if not _reads_as_int(rest):
         raise ParseError(
             f"token {position}: {token!r} needs an integer octave after "
             f"{letter + accidental!r}"
+        )
+    try:
+        octave = int(rest)
+    except ValueError:  # past the digit limit of int()
+        raise ParseError(
+            f"token {position}: {token[:12]!r}... has an octave of more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit of int()"
         ) from None
     return 12 * (octave + 1) + _NOTE_SEMITONES[letter] + _ACCIDENTALS[accidental]
 

@@ -56,11 +56,16 @@ class TuningTable:
     rational-valued tunings, or 13 floats (``2**(k/12)``) for equal
     temperament.  ``deviation_bound`` records the generation bound of a
     generated rational table, as a fraction of 1 (``0.01`` = 1%).
+    A table hashes by its name and bound only, so a dict lookup hashes no
+    ``Fraction``; equality still compares the ratios.
     """
 
     name: str
     ratios: tuple[Ratio, ...]
     deviation_bound: float | None = None
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.deviation_bound))
 
     def __post_init__(self) -> None:
         if len(self.ratios) != 13:

@@ -246,6 +246,51 @@ def test_rank_csv_bytes_are_unchanged(capsys, tuning, measure):
     assert digest.hexdigest() == RANK_DIGESTS[tuning, measure]
 
 
+# SHA-256 of the JSON list [exit code, stdout, stderr] of each command, taken
+# while `TuningTable` still hashed its 13 ratios: every reproduction target in
+# every format (cor2 exits 1, criterion 4's standing discrepancy), `analyze
+# --measures all` on the README chords, and the README's approximate and
+# oracle examples
+OUTPUT_DIGESTS = {
+    "reproduce table2 --format text": "3189fd631e5570c6f9b1fa6b5bd45f928c3c12b979b1c25f851bbd29f3487108",
+    "reproduce table2 --format csv": "ec9d4871a1a2be473b7d1592203808bd2f1757b06024812d3b643bda0c498661",
+    "reproduce table2 --format json": "e99b736ab5ed1fbfda5356672311a5f3fb828d065cdc0ae3db53460cf655ce6c",
+    "reproduce table3 --format text": "43047a6616d6083c791eb6265a6b7f206a6bb8ed284d85aedc8b598209d5f713",
+    "reproduce table3 --format csv": "c1c77bd6afad8fbe1cc8597f97805b5b4a3f8f18508774e4190f75510a3b8ffa",
+    "reproduce table3 --format json": "4c290b205744128096804bd784af214e92a4004d45256bb66d933f31ec867fcf",
+    "reproduce table4 --format text": "dfef94ebcc2e49194a047bb24e55239132cb7c4b22a7093b0fc9a3a237b91a06",
+    "reproduce table4 --format csv": "fa98954d017c3512e62252b238638081f692d833bb0d34547ff9f5835f566958",
+    "reproduce table4 --format json": "5bd1a6b3a7e76b91881501cd1ffbaa0f5ef9db0fe4174809b287346255b12a21",
+    "reproduce table6 --format text": "c3429c82ef08497565c65391c7482bbcc8af6a76ac9a1db68c310f27765dc201",
+    "reproduce table6 --format csv": "ee6b59d0de0b03f9acb81c12b5bb01fc5d42b6d2700e3d4b0ae0b2574e02f02e",
+    "reproduce table6 --format json": "449122b8f1027b041e08116f00028fcf17296438968d10be9122ffe15b69b938",
+    "reproduce cor2 --format text": "189153dcbcb38705ff220bbd589268285764572261695e6f25dffcdcee384e83",
+    "reproduce cor2 --format csv": "18b69904532cf6087388955bfa05044816109aed890e6408fe6d20a3dd6e6974",
+    "reproduce cor2 --format json": "5e32a0c7eabd6155d41e3ad24989420c1a1cf68b0c7866e7d5ead036049f9181",
+    "reproduce cor3 --format text": "a1e226690123d99e8ac3c1443214ee28d487ce6d1a9831edf7576b976d22f7a4",
+    "reproduce cor3 --format csv": "60d54e3e28b92c384a17d32a2c5e6ab5bd7688c322e17997cdf9814c5dd75135",
+    "reproduce cor3 --format json": "20c693c7eda7b2a87c82edbd27b56cc980bc12057cae1fb9ff45c77ccc0d6a62",
+    "analyze --chord 0,4,7 --measures all --format text": "f825381330d6766804152732210d4724d68617e62823f355df8b37034e08ddde",
+    "analyze --chord 0,4,7 --measures all --format csv": "6f31703d7d7d89b8f94d9a4842faa52729e8d7d59713aa1131c36aa141bcb7a6",
+    "analyze --chord 0,4,7 --measures all --format json": "ed3ddfc35cab16de16bb0ffa2d0661f6da0fb84c660f76392fd72ec4664c9d51",
+    "analyze --chord 'A4 C#5 E5' --measures all --format text": "b84a2cef03303af5fd810b42552dff3a7de5ac967822411bb27babafa42afde4",
+    "analyze --chord 'A4 C#5 E5' --measures all --format csv": "6f31703d7d7d89b8f94d9a4842faa52729e8d7d59713aa1131c36aa141bcb7a6",
+    "analyze --chord 'A4 C#5 E5' --measures all --format json": "ed3ddfc35cab16de16bb0ffa2d0661f6da0fb84c660f76392fd72ec4664c9d51",
+    "analyze --chord 0,3,9 --measures all --format text": "1d6b83d8fd14db4d540430b3688581957807f4d8169493a15ce08ac19a840e26",
+    "analyze --chord 0,3,9 --measures all --format csv": "b4257142908fe5bb7f4a1a018f02aecbbe69543382a5e1172a583866050082a2",
+    "analyze --chord 0,3,9 --measures all --format json": "902cfb855550cde7c2fe165934f6a61029ada17e2da6f517b82aeab5b16d7a89",
+    "approximate --value 0.5849625 --precision 0.01": "d3f09def2e70e6326570514f1f75163293fe6a41021f55dfd14c741ed9cadb4d",
+    "oracle --chord 0,3,9 --tuning just": "b2bd6800c477576d62f5e026b2f848f1da065858cc451e474a38b2dd06f9ffbc",
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_DIGESTS)
+def test_outputs_are_unchanged(capsys, command):
+    code, out, err = run(capsys, shlex.split(command))
+    digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[command]
+
+
 class TestCorrelateCommand:
     def test_csv(self, capsys):
         code, out, err = run(capsys, ["correlate", "--dataset", "dyads",
@@ -501,6 +546,9 @@ class TestErrorHandling:
         (["analyze", "--chord", "C" + "1" * 5000 + " E4"],
          "error: token 1: 'C11111111111'... has an octave of more than 4300 digits, "
          "the limit of int()"),
+        # a pitch-name octave with the digit grouping that offsets reject
+        (["analyze", "--chord", "C0_4 E4"],
+         "error: token 1: 'C0_4' needs an integer octave after 'C'"),
         # ranked columns that cannot be computed
         (["rank", "--tuning", "equal", "--measure", "gradus", "--cardinality", "3"],
          "error: tuning 'equal' has irrational ratios; period lengths need exact "
@@ -517,8 +565,8 @@ class TestErrorHandling:
             "chord-superscript", "oracle-two-signs", "oracle-sign-pair",
             "oracle-superscript", "chord-offset-digits", "approximate-tiny-fraction",
             "approximate-tiny-float", "approximate-below-budget", "value-inf",
-            "value-nan", "note-octave-digits", "rank-equal", "rank-pairwise-one-tone",
-            "rank-pairwise-whole-octave"])
+            "value-nan", "note-octave-digits", "note-octave-underscore", "rank-equal",
+            "rank-pairwise-one-tone", "rank-pairwise-whole-octave"])
     def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
         try:
             code = main(argv)

@@ -7,12 +7,14 @@ are binomial coefficients by construction.
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from harmonicity import (
     MEASURES,
     Harmony,
+    TuningTable,
     UndefinedMeasureError,
     UsageError,
     builtin_tuning,
@@ -178,7 +180,10 @@ class TestRankedColumn:
             if full is not None:
                 assert rows == tuple(row for row in full if len(row.harmony) == size)
 
-    def test_warm_tables_evaluate_nothing(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Empty the stored columns and record the size of every category
+        the column kernel evaluates."""
         calls = []
 
         def counting(harmonies, measure, t):
@@ -187,6 +192,9 @@ class TestRankedColumn:
 
         monkeypatch.setattr(enumeration, "_COLUMNS", {})
         monkeypatch.setattr(enumeration, "_column_values", counting)
+        return calls
+
+    def test_warm_tables_evaluate_nothing(self, calls):
         first = rank_table(JUST, "gradus", 4)
         assert calls == [math.comb(11, 3)]
         calls.clear()
@@ -229,6 +237,49 @@ class TestRankedColumn:
         fresh, builtin = rational_tuning(0.01), builtin_tuning("rational")
         assert fresh is not builtin and fresh == builtin
         assert rank_table(fresh, "log_periodicity", 5) == rank_table(builtin, "log_periodicity", 5)
+
+    def test_rebuilt_equal_table_reads_the_stored_column(self, calls):
+        stored = rank_table(JUST, "log_periodicity", 5)
+        calls.clear()
+        rebuilt = TuningTable("just", JUST.ratios)
+        assert rebuilt is not JUST
+        assert rank_table(rebuilt, "log_periodicity", 5) == stored
+        assert calls == []
+
+    def test_same_name_with_other_ratios_gets_its_own_column(self, calls):
+        ratios = list(JUST.ratios)
+        ratios[6] = Fraction(45, 32)
+        other = TuningTable("just", tuple(ratios))
+        builtin = rank_table(JUST, "rel_periodicity", 2)
+        calls.clear()
+        own = rank_table(other, "rel_periodicity", 2)
+        assert calls == [11]
+        values = {row.harmony.semitones: row.value for row in own.rows}
+        assert values != {row.harmony.semitones: row.value for row in builtin.rows}
+        assert rank_table(JUST, "rel_periodicity", 2) == builtin
+
+    def test_warm_queries_hash_no_fraction(self, monkeypatch):
+        queries = [
+            (t, name, cardinality, top)
+            for t in (JUST, builtin_tuning("rational"))
+            for name in MEASURES
+            for cardinality in (3, 7) + (() if name in ("similarity", "brefeld") else (None,))
+            for top in (None, 5)
+        ]
+        assert len(queries) == 64
+        for query in queries:
+            rank_table(*query)
+        hashed = []
+        fraction_hash = Fraction.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        for query in queries:
+            rank_table(*query)
+        assert hashed == []
 
     def test_columns_share_the_enumerated_harmonies(self):
         rows = rank_table(JUST, "gradus", 6).rows

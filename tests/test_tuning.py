@@ -1,6 +1,7 @@
 """Tuning tables: built-ins, generated rational tuning, octave extension."""
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,35 @@ class TestTableValidation:
         ratios[12] = F(3, 1)
         with pytest.raises(UsageError):
             TuningTable("bad", tuple(ratios))
+
+
+class TestHashContract:
+    """A table hashes by name and bound; equality still compares ratios."""
+
+    def test_rebuilt_rational_table_equals_and_hashes_alike(self):
+        fresh, builtin = rational_tuning(0.01), builtin_tuning("rational")
+        assert fresh is not builtin
+        assert fresh == builtin and hash(fresh) == hash(builtin)
+
+    def test_table_built_from_the_same_ratios_equals_and_hashes_alike(self):
+        builtin = builtin_tuning("just")
+        copy = TuningTable("just", builtin.ratios)
+        assert copy == builtin and hash(copy) == hash(builtin)
+
+    @pytest.mark.parametrize("name", BUILTIN_TUNING_NAMES)
+    def test_pickled_table_finds_the_original_key(self, name):
+        builtin = builtin_tuning(name)
+        assert {builtin: name}[pickle.loads(pickle.dumps(builtin))] == name
+
+    def test_same_name_and_bound_with_other_ratios_stay_apart(self):
+        just = builtin_tuning("just")
+        ratios = list(just.ratios)
+        ratios[6] = F(45, 32)
+        other = TuningTable("just", tuple(ratios))
+        assert other != just and hash(other) == hash(just)
+        keyed = {just: "builtin", other: "other"}
+        assert len(keyed) == 2
+        assert keyed[just] == "builtin" and keyed[other] == "other"
 
 
 class TestRatioForSemitone:
