@@ -203,6 +203,13 @@ def _lowest_frequency(args: argparse.Namespace, spec: PitchSpec) -> float:
     return DEFAULT_F1_HZ
 
 
+def _hz(frequency: float) -> str:
+    """``frequency`` with two decimals, or in ``.9g`` form from 1e15 Hz on,
+    where two decimals would print digits past a float's precision (a
+    303-digit number for 1e300 Hz)."""
+    return f"{frequency:.2f}" if frequency < 1e15 else f"{frequency:.9g}"
+
+
 def _semitones(h: Harmony) -> str:
     return ",".join(str(n) for n in h.semitones)
 
@@ -227,8 +234,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "inversion h': " + " ".join(str(v) for v in result.inversion_h),
             f"mean h: {result.mean_h:.1f}",
             f"mean log2 h: {result.mean_log_h:.3f}",
-            f"fundamental: {fundamental_frequency(h, t, f1):.2f} Hz "
-            f"(lowest tone {f1:.2f} Hz)",
+            f"fundamental: {_hz(fundamental_frequency(h, t, f1))} Hz "
+            f"(lowest tone {_hz(f1)} Hz)",
         ] + [f"{key}: {value}" for key, value in extras.items()],
         csv=lambda: [
             "semitones;tuning;raw_h;mean_h;mean_log_h",
@@ -396,7 +403,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     relative = abs(detected - predicted) / predicted
     agree = relative <= args.tolerance
     print(f"harmony: {spec.harmony}")
-    print(f"predicted period: {predicted:.9g} s (h = {raw_h}, f1 = {f1:.2f} Hz)")
+    print(f"predicted period: {predicted:.9g} s (h = {raw_h}, f1 = {_hz(f1)} Hz)")
     print(f"detected period:  {detected:.9g} s")
     print(f"relative difference: {relative:.3g} "
           f"({'agree' if agree else 'DISAGREE'} at tolerance {args.tolerance:g})")

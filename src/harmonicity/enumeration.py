@@ -8,6 +8,9 @@ orientation, breaking ties lexicographically by semitone tuple so output
 is byte-identical across runs.  A category is evaluated on ints, from one
 ``(numerator, denominator)`` table of the tuning, by the measures' column
 kernel, which equals the Fraction reference ``evaluate_measure`` by ``repr``.
+The kernel computes a measure pair in one pass (rel/log periodicity,
+gradus/omega); only the measure asked for is ranked, and its sibling's
+values wait, unranked, until the sibling is asked for.
 """
 
 from __future__ import annotations
@@ -93,6 +96,9 @@ class RankTable:
 # use; the whole-octave column (cardinality None) is merged from the 12
 # category columns and shares their rows.
 _COLUMNS: dict[tuple[TuningTable, str, int | None], tuple[RankedRow, ...]] = {}
+# The unranked values of a category that the kernel computed beside the
+# measure asked for (its pair sibling), kept until that sibling is asked for.
+_SIBLINGS: dict[tuple[TuningTable, str, int], list[float]] = {}
 
 
 def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[RankedRow, ...]:
@@ -110,8 +116,14 @@ def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[Rank
         ))
     else:
         harmonies = _category(cardinality)
+        values = _SIBLINGS.pop(key, None)
+        if values is None:
+            columns = _column_values(harmonies, measure, t)
+            values = columns.pop(measure)
+            for sibling, other in columns.items():
+                _SIBLINGS[t, sibling, cardinality] = other
         evaluated = sorted(
-            zip(_column_values(harmonies, measure, t), harmonies),
+            zip(values, harmonies),
             key=lambda pair: (orientation * pair[0], pair[1].semitones),
         )
         rows = tuple(RankedRow(rank, h, value)

@@ -24,7 +24,9 @@ reproduces the reference similarity tables.
 is the reference.  The ranked one-octave columns of
 :mod:`harmonicity.enumeration` come from ``_column_values`` instead, which
 computes the same floats, equal by ``repr``, on plain ints from one
-``(numerator, denominator)`` table per tuning.
+``(numerator, denominator)`` table per tuning.  It computes a measure pair
+in one pass and returns both columns: the two periodicity means from one
+set of inversion views, gradus and omega from one factorization.
 """
 
 from __future__ import annotations
@@ -162,22 +164,38 @@ def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> floa
     return float(lookup_measure(measure).compute(tones, t))
 
 
-def _column_values(harmonies: Sequence[Harmony], measure: str, t: TuningTable) -> list[float]:
-    """``evaluate_measure(h.semitones, measure, t)`` for each one-octave
-    harmony, equal by ``repr``, computed on ints from one ``(numerator,
+def _column_values(harmonies: Sequence[Harmony], measure: str,
+                   t: TuningTable) -> dict[str, list[float]]:
+    """``{name: [evaluate_measure(h.semitones, name, t) for h in harmonies]}``
+    for ``measure`` and the sibling its pass also yields, equal by ``repr``:
+    both periodicity means come from one set of views, gradus and omega
+    from one factorization.  Computed on ints from one ``(numerator,
     denominator)`` pair per offset -11..11 instead of Fractions per view."""
     if measure in ("similarity", "brefeld") and any(len(h) < 2 for h in harmonies):
         pairwise_intervals((0,), t)  # raises the reference's error
     pairs = {n: ratio_for_semitone(t, n).as_integer_ratio() for n in range(-11, 12)}
+    tones = [h.semitones for h in harmonies]
     if measure in ("rel_periodicity", "log_periodicity"):
-        def value(s: tuple[int, ...]) -> float:
+        # per anchor m: the denominators of n - m for n in 0..11, then b_low, a_low
+        anchors = [tuple(pairs[n - m][1] for n in range(12)) + pairs[-m][::-1]
+                   for m in range(12)]
+        rel, log = [], []
+        for s in tones:
             # h' of the view from tone m: lcm of its denominators // b_low * a_low
-            views = [math.lcm(*(pairs[n - m][1] for n in s)) // pairs[-m][1] * pairs[-m][0]
-                     for m in s]
-            if measure == "rel_periodicity":
-                return sum(views) / len(views)  # rounds like float(Fraction)
-            return math.fsum(map(math.log2, views)) / len(views)
-    elif measure == "similarity":
+            views = [math.lcm(*[row[n] for n in s]) // row[12] * row[13]
+                     for row in map(anchors.__getitem__, s)]
+            rel.append(sum(views) / len(views))  # rounds like float(Fraction)
+            log.append(math.fsum(map(math.log2, views)) / len(views))
+        return {"rel_periodicity": rel, "log_periodicity": log}
+    if measure in ("gradus", "omega"):
+        products = [math.lcm(*[pairs[n][0] for n in s]) * math.lcm(*[pairs[n][1] for n in s])
+                    for s in tones]
+        # few products recur (87 distinct of 2048 under just): factor each once
+        factors = {product: prime_factor_multiset(product) for product in set(products)}
+        gradus = {product: float(_gradus_of(f)) for product, f in factors.items()}
+        omega = {product: float(_omega_of(f)) for product, f in factors.items()}
+        return {"gradus": [gradus[p] for p in products], "omega": [omega[p] for p in products]}
+    if measure == "similarity":
         # each distance's (a + b - 1) / (a * b) over one common denominator
         common = math.lcm(*(pairs[d][0] * pairs[d][1] for d in range(1, 12)))
         terms = {d: (a + b - 1) * (common // (a * b)) for d, (a, b) in pairs.items() if d > 0}
@@ -185,14 +203,8 @@ def _column_values(harmonies: Sequence[Harmony], measure: str, t: TuningTable) -
         def value(s: tuple[int, ...]) -> float:
             total = sum(terms[high - low] for low, high in combinations(s, 2))
             return total * 100 / (common * (len(s) * (len(s) - 1) // 2))
-    elif measure == "brefeld":
+    else:
         def value(s: tuple[int, ...]) -> float:
             intervals = [pairs[high - low] for low, high in combinations(s, 2)]
             return _root(math.prod(a * b for a, b in intervals), 2 * len(intervals))
-    else:
-        of = _gradus_of if measure == "gradus" else _omega_of
-
-        def value(s: tuple[int, ...]) -> float:
-            return of(prime_factor_multiset(math.lcm(*(pairs[n][0] for n in s))
-                                            * math.lcm(*(pairs[n][1] for n in s))))
-    return [float(value(h.semitones)) for h in harmonies]
+    return {measure: list(map(value, tones))}

@@ -233,17 +233,59 @@ RANK_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("tuning, measure", RANK_DIGESTS, ids=" ".join)
-def test_rank_csv_bytes_are_unchanged(capsys, tuning, measure):
+# the same runs with `--format json`, which prints every value in full
+# precision where the CSV rounds to 6 significant digits; taken before the
+# two periodicity means and gradus/omega shared one kernel pass
+RANK_JSON_DIGESTS = {
+    ("just", "rel_periodicity"): "6c117886b74dee0eca449ec88c944680dae468b37b31ce81bb512d34ab37a1fc",
+    ("just", "log_periodicity"): "a07c4f311a4df417c47f6f67a0dbe7c6761dde51edf3ae72487f9b125fcc1327",
+    ("just", "similarity"): "e4c0844475290813e29b25554b8dd3991410976dd36c64d60585b31871d0b395",
+    ("just", "gradus"): "7d539aadc0b51ca0cdf2592ba00a7c5c22ad64d69abfb17f53cdb60f03b677a3",
+    ("just", "omega"): "2640402aac6056748015ada7091cffbc57ea257bfa310ed5f796ece64d792d17",
+    ("just", "brefeld"): "915b115756fd2e0231337a1aadb593a6af8b8a85d394cf3d3fac0a72ea23fdf6",
+    ("rational", "rel_periodicity"): "48cc0fdf10313a07cda1ab5494e593385d5cb8158a4ee82b40a46b21a27db5a2",
+    ("rational", "log_periodicity"): "ccefcfa026a55e797e8b63ffe62a9aa88eb7f9a9743e2b05bfc86de2624d34af",
+    ("rational", "similarity"): "c556f42d5f1841a88b6e4aa9c501385e5dbb39a3454212ef3e9f812a29e8e57f",
+    ("rational", "gradus"): "82ba48007556f03962c71071f4c9be11d9f3b885b740530d2d41054772aabb23",
+    ("rational", "omega"): "ebe06431ba9172265dbfac488144c76da132f80bb20cfcd299473074f87844d8",
+    ("rational", "brefeld"): "0321c37f405055194b93a6c2d626f44c7c3e6a17239accffaae820b79a2c7397",
+    ("pythagorean", "rel_periodicity"): "716effb35599ffcd21b6553aabf94a67cea82662ca6d231279e1370e73a08317",
+    ("pythagorean", "log_periodicity"): "5e4975a3d2797bc9302ec6b62157886d199398e613fee1a15803ea9cc8eb6cc2",
+    ("pythagorean", "similarity"): "8dd477869dc263082bb3da9f82159bdd7eb06484a7bc5f54427af7199b2de450",
+    ("pythagorean", "gradus"): "d267ebc02c7497998a6e72ecc57c57e2ebac895966eb9f9293cd2713b5a827ae",
+    ("pythagorean", "omega"): "cd7ccc18dd12a4ec2743a21dfcffb2f6cbc83887330adc1f9da688de0e70ac3b",
+    ("pythagorean", "brefeld"): "4eb91599fc61a87b2ff8ac3442dff9511a4e10798052d430830650c374eea8f5",
+    ("kirnberger3", "rel_periodicity"): "18ac12a64481a16669c6ef3b12c47d55caa1e9853634d6d3037557ed474e1c38",
+    ("kirnberger3", "log_periodicity"): "0b55629dff0327dd752864977c4d8c403aa523bf5350ad75212e44a849be277d",
+    ("kirnberger3", "similarity"): "a8498f17d912db001264838167f9c9e2aad0d2be8667fb52bf57a3b086e2194e",
+    ("kirnberger3", "gradus"): "f9381f513dbdec0b68f745cb625fd61cea4901bfcb2f4ec771f473793b9bbf58",
+    ("kirnberger3", "omega"): "9b7a72d141d6f093f0d79c25926b8635754a91e7d74cacfe915e00f7a567f86c",
+    ("kirnberger3", "brefeld"): "d3a774d2fecffb4a49d09f2785e3a16df50df6b70e0b44be7e2b016e0286a4d6",
+    ("rational --precision 0.005", "log_periodicity"): "9322e4b030dd9dd784009b99b916bb501822ff0822aa69e99335ca7bd64a517b",
+}
+
+
+def _rank_digest(capsys, tuning, measure, fmt):
     digest = hashlib.sha256()
     pairwise = measure in ("similarity", "brefeld")
     for cardinality in range(2, 13) if pairwise else (None,):
-        argv = ["rank", "--tuning", *tuning.split(), "--measure", measure, "--format", "csv"]
+        argv = ["rank", "--tuning", *tuning.split(), "--measure", measure, "--format", fmt]
         if cardinality is not None:
             argv += ["--cardinality", str(cardinality)]
         code, out, err = run(capsys, argv)
         digest.update(f"{code}\n{out}".encode())
-    assert digest.hexdigest() == RANK_DIGESTS[tuning, measure]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("tuning, measure", RANK_DIGESTS, ids=" ".join)
+def test_rank_csv_bytes_are_unchanged(capsys, tuning, measure):
+    assert _rank_digest(capsys, tuning, measure, "csv") == RANK_DIGESTS[tuning, measure]
+
+
+@pytest.mark.parametrize("tuning, measure", RANK_JSON_DIGESTS,
+                         ids=[" ".join(key) for key in RANK_JSON_DIGESTS])
+def test_rank_json_bytes_are_unchanged(capsys, tuning, measure):
+    assert _rank_digest(capsys, tuning, measure, "json") == RANK_JSON_DIGESTS[tuning, measure]
 
 
 # SHA-256 of the JSON list [exit code, stdout, stderr] of each command, taken
@@ -439,6 +481,26 @@ class TestOracleCommand:
                                       "--horizon", "10"])
         assert code == 1
         assert "no period detected" in err
+
+
+class TestLargeLowestFrequency:
+    """From 1e15 Hz on, frequencies print in ``.9g`` form instead of every
+    integer digit of the float (303 digits for 1e300 Hz)."""
+
+    @pytest.mark.parametrize("f1, oracle, analyze", [
+        ("1e300", "f1 = 1e+300 Hz", "fundamental: 2.5e+299 Hz (lowest tone 1e+300 Hz)"),
+        ("1e15", "f1 = 1e+15 Hz", "fundamental: 250000000000000.00 Hz (lowest tone 1e+15 Hz)"),
+        # below 1e15 Hz the two decimals stay
+        ("999999999999999.9", "f1 = 999999999999999.88 Hz",
+         "fundamental: 249999999999999.97 Hz (lowest tone 999999999999999.88 Hz)"),
+    ])
+    def test_width_is_bounded(self, capsys, f1, oracle, analyze):
+        code, out, _ = run(capsys, ["oracle", "--chord", "0,4,7", "--f1", f1])
+        assert code == 0
+        assert f"(h = 4, {oracle})" in out
+        code, out, _ = run(capsys, ["analyze", "--chord", "0,4,7", "--f1", f1])
+        assert code == 0
+        assert out.splitlines()[-1] == analyze
 
 
 class TestReproduceCommand:

@@ -38,6 +38,16 @@ DYAD_RANKING = [
     (9, (0, 11), 8.0), (10, (0, 2), 8.5), (11, (0, 1), 15.0),
 ]
 
+# the measure whose values each measure's kernel pass also computes
+SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodicity",
+           "gradus": "omega", "omega": "gradus"}
+
+
+def _empty_store(monkeypatch):
+    """Empty the ranked columns and the unranked sibling values."""
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    monkeypatch.setattr(enumeration, "_SIBLINGS", {})
+
 
 class TestEnumerateHarmonies:
     def test_total_count(self):
@@ -182,15 +192,15 @@ class TestRankedColumn:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Empty the stored columns and record the size of every category
-        the column kernel evaluates."""
+        """Empty the store and record the size of every category the column
+        kernel evaluates."""
         calls = []
 
         def counting(harmonies, measure, t):
             calls.append(len(harmonies))
             return measures._column_values(harmonies, measure, t)
 
-        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+        _empty_store(monkeypatch)
         monkeypatch.setattr(enumeration, "_column_values", counting)
         return calls
 
@@ -214,15 +224,36 @@ class TestRankedColumn:
             looked_up.append(n)
             return ratio_for_semitone(t, n)
 
-        monkeypatch.setattr(enumeration, "_COLUMNS", {})
         monkeypatch.setattr(measures, "ratio_for_semitone", counting)
         for name in MEASURES:
+            _empty_store(monkeypatch)
             looked_up.clear()
             rank_table(JUST, name, 7)
             assert sorted(looked_up) == list(range(-11, 12)), name
+            if name in SIBLING:
+                looked_up.clear()
+                rank_table(JUST, SIBLING[name], 7)
+                assert looked_up == [], name
+
+    @pytest.mark.parametrize("cardinality", [7, None], ids=["7", "octave"])
+    @pytest.mark.parametrize("tuning", [JUST, builtin_tuning("rational")],
+                             ids=["just", "rational"])
+    @pytest.mark.parametrize("name", SIBLING)
+    def test_sibling_reads_its_partners_pass(self, calls, name, tuning, cardinality):
+        sibling = SIBLING[name]
+        rank_table(tuning, name, cardinality)
+        assert calls
+        assert not any(key[1] == sibling for key in enumeration._COLUMNS)
+        calls.clear()
+        shared = rank_table(tuning, sibling, cardinality)
+        assert calls == []
+        assert enumeration._SIBLINGS == {}
+        enumeration._COLUMNS.clear()
+        assert rank_table(tuning, sibling, cardinality) == shared
+        assert calls
 
     def test_failed_full_table_leaves_categories_correct(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+        _empty_store(monkeypatch)
         with pytest.raises(UndefinedMeasureError):
             rank_table(JUST, "similarity")
         rows = rank_table(JUST, "similarity", 3).rows

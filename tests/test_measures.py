@@ -6,6 +6,8 @@ the ratio products and cross-checked against sympy's ``factorint`` /
 percentages are closed-form arithmetic on the same ratios.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -271,6 +273,11 @@ class TestEvaluateMeasure:
             assert isinstance(value, float) and value > 0.0
 
 
+# the measure whose values each measure's column pass also computes
+SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodicity",
+           "gradus": "omega", "omega": "gradus"}
+
+
 class TestColumnValues:
     """The integer kernel behind the ranked columns against the Fraction
     reference ``evaluate_measure``, on every one-octave harmony."""
@@ -281,9 +288,36 @@ class TestColumnValues:
     ], ids=["just", "pythagorean", "kirnberger3", "rational", "rational-0.001"])
     def test_equals_evaluate_measure_by_repr(self, tuning):
         harmonies = list(enumerate_harmonies())
-        for name in MEASURES:
+
+        def scored(name):
             # pairwise measures reject the single tone {0}, the first harmony
-            scored = harmonies[1:] if name in ("similarity", "brefeld") else harmonies
-            column = measures._column_values(scored, name, tuning)
-            expected = [repr(evaluate_measure(h.semitones, name, tuning)) for h in scored]
-            assert list(map(repr, column)) == expected, name
+            return harmonies[1:] if name in ("similarity", "brefeld") else harmonies
+
+        expected = {name: [repr(evaluate_measure(h.semitones, name, tuning)) for h in scored(name)]
+                    for name in MEASURES}
+        for name in MEASURES:
+            columns = measures._column_values(scored(name), name, tuning)
+            assert set(columns) == {name, SIBLING.get(name, name)}, name
+            # every column the pass returns, its sibling's included
+            for returned, column in columns.items():
+                assert list(map(repr, column)) == expected[returned], (name, returned)
+
+
+# SHA-256 of the JSON list of `evaluate_measure` reprs of one tone set, every
+# measure under just, pythagorean, kirnberger3 and rational in that order, for
+# tone sets that no ranked column holds (duplicates, offsets beyond the
+# octave); taken before the column kernel shared passes between measures
+EVALUATE_DIGESTS = {
+    (0, 0): "5208d78900c5738a151753cb3ddfd1373addedc1adb761a2c6d70c1146e83488",
+    (0, 0, 7): "775b3d8b0d3d38c32e7fbfde9b8ab772e038c8740bfe944f7159447e98865883",
+    (7, 4, 4, 0, 11, 14, 7): "09af0345c3c5fe6073932128ab185a62b61aa7a2b784a0740ccb5c12a6717917",
+    (0, 4, 7, 12): "237f9ef042031567a734dd6da9e50f5f293115a1e9945d35484cfb2d9e331edc",
+    (0, 7, 16, 24, 28, 63): "13c4e4127717fc29d9a5051b907e3f0c701a0695d4c3adfec9dc30808888023e",
+}
+
+
+@pytest.mark.parametrize("tones", EVALUATE_DIGESTS, ids=str)
+def test_evaluate_measure_reprs_are_unchanged(tones):
+    values = [repr(evaluate_measure(tones, name, builtin_tuning(t)))
+              for t in ("just", "pythagorean", "kirnberger3", "rational") for name in MEASURES]
+    assert hashlib.sha256(json.dumps(values).encode()).hexdigest() == EVALUATE_DIGESTS[tones]
