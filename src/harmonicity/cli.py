@@ -40,7 +40,14 @@ from .empirics import (
 )
 from .errors import HarmonicityError, ParseError, UsageError
 from .measures import MEASURES
-from .periodicity import Harmony, analyze, fundamental_frequency, ratios_for, raw_periodicity
+from .periodicity import (
+    MAX_SPAN,
+    Harmony,
+    analyze,
+    fundamental_frequency,
+    ratios_for,
+    raw_periodicity,
+)
 from .rationals import approximate
 from .signal_oracle import ToneStack, detect_period
 from .tuning import (
@@ -61,10 +68,6 @@ DEFAULT_F1_HZ = 440.0 * 2.0 ** (-9.0 / 12.0)
 # Rival measures that ``analyze --measures all`` adds, with the digits each
 # is rounded to; gradus and omega are integers.
 _ANALYZE_EXTRAS = {"gradus": 0, "omega": 0, "brefeld": 6, "similarity": 2}
-
-# The MIDI range: pitch names must lie within notes 0.._MAX_SPAN, and no
-# chord may span more semitones from its lowest to its highest tone.
-_MAX_SPAN = 127
 
 _NOTE_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _ACCIDENTALS = {"": 0, "#": 1, "b": -1}
@@ -153,15 +156,15 @@ def parse_pitch_spec(text: str) -> PitchSpec:
 
     lowest = min(pitches)
     span = max(pitches) - lowest
-    if span > _MAX_SPAN:
+    if span > MAX_SPAN:
         raise ParseError(
-            f"chord spans {span} semitones, more than the MIDI range of {_MAX_SPAN}"
+            f"chord spans {span} semitones, more than the MIDI range of {MAX_SPAN}"
         )
     if names:
         for position, (token, note) in enumerate(zip(tokens, pitches), start=1):
-            if not 0 <= note <= _MAX_SPAN:
+            if not 0 <= note <= MAX_SPAN:
                 raise ParseError(
-                    f"token {position}: {token!r} lies outside MIDI notes 0..{_MAX_SPAN} "
+                    f"token {position}: {token!r} lies outside MIDI notes 0..{MAX_SPAN} "
                     "(C-1..G9)"
                 )
     f1 = 440.0 * 2.0 ** ((lowest - 69) / 12.0) if names else None
@@ -490,8 +493,8 @@ def _add_chord_flags(parser: argparse.ArgumentParser) -> None:
         "--chord",
         required=True,
         help='semitone offsets ("0,4,7") or pitch names ("C4 E4 G4"), '
-        f"spanning at most {_MAX_SPAN} semitones; pitch names lie within "
-        f"MIDI notes 0..{_MAX_SPAN} (C-1..G9)",
+        f"spanning at most {MAX_SPAN} semitones; pitch names lie within "
+        f"MIDI notes 0..{MAX_SPAN} (C-1..G9)",
     )
     parser.add_argument(
         "--tuning",

@@ -36,6 +36,7 @@ from typing import Sequence
 
 from .errors import DataError, UsageError
 from .measures import MEASURES, evaluate_measure
+from .periodicity import MAX_SPAN
 from .tuning import TuningTable, builtin_tuning
 
 __all__ = [
@@ -173,6 +174,11 @@ def load_dataset(dataset_id: str) -> EmpiricalDataset:
         if semitones[0] != 0:
             raise DataError(
                 f"dataset {dataset_id!r} line {number}: offsets must start at 0"
+            )
+        if not all(0 <= n <= MAX_SPAN for n in semitones):
+            raise DataError(
+                f"dataset {dataset_id!r} line {number}: offsets must lie within "
+                f"0..{MAX_SPAN}, got {cells[1]}"
             )
         items.append(DatasetItem(cells[0], semitones, empirical))
 

@@ -8,9 +8,7 @@ orientation, breaking ties lexicographically by semitone tuple so output
 is byte-identical across runs.  A category is evaluated on ints, from one
 ``(numerator, denominator)`` table of the tuning, by the measures' column
 kernel, which equals the Fraction reference ``evaluate_measure`` by ``repr``.
-The kernel computes a measure pair in one pass (rel/log periodicity,
-gradus/omega); only the measure asked for is ranked, and its sibling's
-values wait, unranked, until the sibling is asked for.
+Every column one kernel pass returns is ranked and stored.
 """
 
 from __future__ import annotations
@@ -92,13 +90,10 @@ class RankTable:
 
 
 # One ranked column per (tuning, measure, cardinality), most consonant
-# first.  A category's column is evaluated, sorted and numbered on first
+# first.  A category's columns are evaluated, sorted and numbered on first
 # use; the whole-octave column (cardinality None) is merged from the 12
 # category columns and shares their rows.
 _COLUMNS: dict[tuple[TuningTable, str, int | None], tuple[RankedRow, ...]] = {}
-# The unranked values of a category that the kernel computed beside the
-# measure asked for (its pair sibling), kept until that sibling is asked for.
-_SIBLINGS: dict[tuple[TuningTable, str, int], list[float]] = {}
 
 
 def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[RankedRow, ...]:
@@ -106,30 +101,25 @@ def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[Rank
     rows = _COLUMNS.get(key)
     if rows is not None:
         return rows
-    orientation = MEASURES[measure].orientation
     # (orientation * value, semitones) is a total order: tuples are unique
     if cardinality is None:
+        orientation = MEASURES[measure].orientation
         # the same key as each category's, so the merge keeps their ranks
-        rows = tuple(sorted(
+        _COLUMNS[key] = tuple(sorted(
             chain.from_iterable(_column(t, measure, size) for size in range(1, 13)),
             key=lambda row: (orientation * row.value, row.harmony.semitones),
         ))
     else:
         harmonies = _category(cardinality)
-        values = _SIBLINGS.pop(key, None)
-        if values is None:
-            columns = _column_values(harmonies, measure, t)
-            values = columns.pop(measure)
-            for sibling, other in columns.items():
-                _SIBLINGS[t, sibling, cardinality] = other
-        evaluated = sorted(
-            zip(values, harmonies),
-            key=lambda pair: (orientation * pair[0], pair[1].semitones),
-        )
-        rows = tuple(RankedRow(rank, h, value)
-                     for rank, (value, h) in enumerate(evaluated, start=1))
-    _COLUMNS[key] = rows
-    return rows
+        for name, values in _column_values(harmonies, measure, t).items():
+            orientation = MEASURES[name].orientation
+            evaluated = sorted(
+                zip(values, harmonies),
+                key=lambda pair: (orientation * pair[0], pair[1].semitones),
+            )
+            _COLUMNS[t, name, cardinality] = tuple(
+                RankedRow(rank, h, value) for rank, (value, h) in enumerate(evaluated, start=1))
+    return _COLUMNS[key]
 
 
 def rank_table(

@@ -34,6 +34,10 @@ __all__ = [
     "raw_periodicity",
 ]
 
+# The MIDI range 0..MAX_SPAN: CLI pitch names and dataset offsets lie within
+# it, and no CLI chord spans more semitones from its lowest to highest tone.
+MAX_SPAN = 127
+
 
 @dataclass(frozen=True)
 class Harmony:
@@ -48,6 +52,8 @@ class Harmony:
     def __post_init__(self) -> None:
         if len(self.semitones) < 1:
             raise UsageError("a harmony needs at least one tone")
+        if any(not isinstance(n, int) for n in self.semitones):
+            raise UsageError(f"harmony offsets must be integers, got {self.semitones}")
         if self.semitones[0] != 0:
             raise UsageError(
                 f"harmony offsets must start at 0, got {self.semitones[0]} "
@@ -57,8 +63,6 @@ class Harmony:
             raise UsageError(
                 f"harmony offsets must be strictly increasing, got {self.semitones}"
             )
-        if any(not isinstance(n, int) for n in self.semitones):
-            raise UsageError(f"harmony offsets must be integers, got {self.semitones}")
 
     @classmethod
     def from_offsets(cls, offsets: Iterable[int]) -> "Harmony":

@@ -21,7 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import harmonicity
-from harmonicity import BUILTIN_TUNING_NAMES, ParseError
+from harmonicity import (
+    BUILTIN_TUNING_NAMES,
+    DATASET_IDS,
+    MEASURES,
+    REPRODUCTION_TARGETS,
+    ParseError,
+)
 from harmonicity.cli import DEFAULT_F1_HZ, main, parse_pitch_spec
 
 
@@ -696,6 +702,50 @@ def approximate_argvs(draw):
             "--format", draw(st.sampled_from(["text", "csv", "json"]))]
 
 
+# free text for a numeric flag: nan, inf, subnormals, 1e308, negatives,
+# 20-digit ints, in-range values and arbitrary strings
+FREE_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "5e-324", "1e-310", "1e308", "-1", "0", "-0.0",
+                     "12345678901234567890", "-12345678901234567890"]),
+    st.integers(-2, 14).map(str),
+    st.floats(1e-6, 0.06).map(repr),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def table_argvs(draw):
+    """``rank``, ``correlate``, ``tuning`` or ``reproduce`` with numeric
+    flags from free text and names from the valid choices plus unknown ones;
+    each optional flag is given or left out."""
+    def name(*valid):  # valid half the time
+        return draw(st.sampled_from(valid) | st.sampled_from(["unknown", ""]))
+
+    def optional(**flags):
+        return [part for flag, value in flags.items() if draw(st.booleans())
+                for part in (f"--{flag}", value)]
+
+    tunings, formats = BUILTIN_TUNING_NAMES, ("text", "csv", "json")
+    command = draw(st.sampled_from(["rank", "correlate", "tuning", "reproduce"]))
+    if command == "rank":
+        return ["rank", *optional(
+            tuning=name(*tunings), precision=draw(FREE_NUMBERS), measure=name(*MEASURES),
+            cardinality=draw(FREE_NUMBERS), top=draw(FREE_NUMBERS), format=name(*formats))]
+    if command == "correlate":
+        measures = draw(st.lists(st.sampled_from([*MEASURES, "roughness", "unknown"]),
+                                 max_size=3))
+        return ["correlate", "--dataset", name(*DATASET_IDS),
+                *(part for measure in measures for part in ("--measure", measure)),
+                *optional(tuning=name(*tunings, "none"), mode=name("ranks", "values"),
+                          format=name(*formats))]
+    if command == "tuning":
+        return ["tuning", name(*tunings),
+                *optional(precision=draw(FREE_NUMBERS), format=name(*formats))]
+    return ["reproduce", name(*REPRODUCTION_TARGETS),
+            *optional(tuning=name(*tunings), format=name(*formats))]
+
+
 def _printed_approximation(fmt, out):
     """The accepted fraction as ``approximate`` prints it in ``fmt``."""
     if fmt == "json":
@@ -755,6 +805,23 @@ class TestFuzz:
             assert _printed_approximation(argv[-1], out.getvalue()) > 0
             if argv[-1] == "text":  # the value and the precision are echoed as given
                 assert out.getvalue().startswith(f"{argv[2]} within {argv[4]}: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=table_argvs())
+    @example(argv=["rank", "--tuning", "rational", "--precision", "5e-324", "--cardinality", "2"])
+    @example(argv=["rank", "--precision", "nan", "--top", "12345678901234567890"])
+    @example(argv=["rank", "--cardinality", "-12345678901234567890", "--top", "-1"])
+    @example(argv=["tuning", "rational", "--precision", "1e308", "--format", "json"])
+    def test_every_table_argv_exits_0_1_or_2(self, argv):
+        # argparse rejects an argv by raising SystemExit with its exit code
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
 
 
 # One argv per subcommand that has --format; cor2 has rows without a
@@ -835,3 +902,18 @@ class TestInstalledEntryPoint:
         assert result.returncode == 2
         assert result.stderr.startswith("error: token 3:")
         assert "Traceback" not in result.stderr
+
+    def test_reader_closing_the_pipe_exits_0_quietly(self):
+        # the whole-octave JSON ranking outgrows the pipe buffer, so printing
+        # it after the reader has gone raises BrokenPipeError inside main
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "harmonicity.cli", "rank", "--measure", "log_periodicity",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(harmonicity.__file__).parents[1])},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()

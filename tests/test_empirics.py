@@ -26,6 +26,7 @@ from harmonicity import (
     reproduce,
     significance,
 )
+from harmonicity.cli import main
 from harmonicity.empirics import (
     DATASET_IDS,
     REPRODUCTION_TARGETS,
@@ -166,6 +167,22 @@ class TestDataDirOverride:
         self._write(tmp_path, monkeypatch, text)
         with pytest.raises(DataError, match="start at 0"):
             load_dataset("dyads")
+
+    @pytest.mark.parametrize("offsets", ["0,-5", "0,128", "0,100000000000"])
+    def test_offset_outside_the_midi_range(self, tmp_path, monkeypatch, capsys, offsets):
+        text = _packaged_text("dyads").replace("unison;0,0;", f"unison;{offsets};")
+        self._write(tmp_path, monkeypatch, text)
+        message = f"dataset 'dyads' line 3: offsets must lie within 0..127, got {offsets}"
+        with pytest.raises(DataError) as excinfo:
+            load_dataset("dyads")
+        assert str(excinfo.value) == message
+        assert main(["correlate", "--dataset", "dyads", "--measure", "rel_periodicity"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_offset_at_the_midi_bound_loads(self, tmp_path, monkeypatch):
+        text = _packaged_text("dyads").replace("unison;0,0;", "unison;0,127;")
+        self._write(tmp_path, monkeypatch, text)
+        assert load_dataset("dyads").items[0].semitones == (0, 127)
 
     def test_non_numeric_cell(self, tmp_path, monkeypatch):
         text = _packaged_text("dyads").replace(";0.0019;", ";n/a;")

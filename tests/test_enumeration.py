@@ -44,9 +44,8 @@ SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodi
 
 
 def _empty_store(monkeypatch):
-    """Empty the ranked columns and the unranked sibling values."""
+    """Empty the ranked columns."""
     monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    monkeypatch.setattr(enumeration, "_SIBLINGS", {})
 
 
 class TestEnumerateHarmonies:
@@ -243,11 +242,11 @@ class TestRankedColumn:
         sibling = SIBLING[name]
         rank_table(tuning, name, cardinality)
         assert calls
-        assert not any(key[1] == sibling for key in enumeration._COLUMNS)
+        sizes = (cardinality,) if cardinality is not None else range(1, 13)
+        assert all((tuning, sibling, size) in enumeration._COLUMNS for size in sizes)
         calls.clear()
         shared = rank_table(tuning, sibling, cardinality)
         assert calls == []
-        assert enumeration._SIBLINGS == {}
         enumeration._COLUMNS.clear()
         assert rank_table(tuning, sibling, cardinality) == shared
         assert calls

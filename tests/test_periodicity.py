@@ -46,6 +46,11 @@ class TestHarmony:
             Harmony(())
         with pytest.raises(UsageError, match="must be integers"):
             Harmony((0, 1.5))
+        # checked before the first offset and the order
+        with pytest.raises(UsageError, match="must be integers"):
+            Harmony((0, "4"))
+        with pytest.raises(UsageError, match="must be integers"):
+            Harmony(("0",))
 
     def test_from_offsets_normalizes(self):
         assert Harmony.from_offsets([60, 64, 67]).semitones == (0, 4, 7)
