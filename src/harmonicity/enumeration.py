@@ -7,8 +7,8 @@ harmony of a category and sorts most consonant first, by the measure's
 orientation, breaking ties lexicographically by semitone tuple so output
 is byte-identical across runs.  A category is evaluated on ints, from one
 ``(numerator, denominator)`` table of the tuning, by the measures' column
-kernel, which equals the Fraction reference ``evaluate_measure`` by ``repr``.
-Every column one kernel pass returns is ranked and stored.
+kernel, which shares ``evaluate_measure``'s definitions and equals it by
+``repr``.  Every column one kernel pass returns is ranked and stored.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def enumerate_harmonies(cardinality: int | None = None) -> Iterator[Harmony]:
 
 
 def _check_cardinality(cardinality: int) -> None:
+    if not isinstance(cardinality, int):
+        raise UsageError(f"cardinality must be an integer, got {cardinality!r}")
     if not 1 <= cardinality <= 12:
         raise UsageError(f"cardinality must be in 1..12, got {cardinality!r}")
 
@@ -138,6 +140,8 @@ def rank_table(
     queries with the same tuning and measure read it.
     """
     lookup_measure(measure)
+    if top is not None and not isinstance(top, int):
+        raise UsageError(f"top must be an integer, got {top!r}")
     if top is not None and top < 1:
         raise UsageError(f"top must be >= 1, got {top!r}")
     if cardinality is not None:

@@ -20,33 +20,29 @@ intervals are mapped by semitone *distance*
 ratios; in unequal tunings the two differ, and only the distance reading
 reproduces the reference similarity tables.
 
-:func:`evaluate_measure` computes on :class:`~fractions.Fraction` values and
-is the reference.  The ranked one-octave columns of
-:mod:`harmonicity.enumeration` come from ``_column_values`` instead, which
-computes the same floats, equal by ``repr``, on plain ints from one
-``(numerator, denominator)`` table per tuning.  It computes a measure pair
-in one pass and returns both columns: the two periodicity means from one
-set of inversion views, gradus and omega from one factorization.
+Similarity, gradus, omega and brefeld each have one integer definition on
+``(numerator, denominator)`` pairs looked up once per distinct offset:
+:func:`evaluate_measure` looks up what its tone set needs, and
+``_column_values``, behind the ranked columns of
+:mod:`harmonicity.enumeration`, offsets -11..11 once per column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import UndefinedMeasureError, UsageError
 from .periodicity import AnalysisResult, Harmony, analyze
-from .rationals import lcm_many, prime_factor_multiset
+from .rationals import prime_factor_multiset
 from .tuning import TuningTable, ratio_for_semitone
 
 __all__ = [
     "MEASURES",
     "Measure",
     "evaluate_measure",
-    "pairwise_intervals",
 ]
 
 
@@ -64,32 +60,29 @@ class Measure:
     orientation: int
 
 
-def pairwise_intervals(tones: Sequence[int], t: TuningTable) -> list[Fraction]:
-    """Frequency ratios of all unordered tone pairs, one per pair, mapped by
-    semitone distance.  ``tones`` may contain duplicates (distance 0 maps to
-    the unison ratio 1/1); order does not matter."""
+def _pairs(t: TuningTable, offsets: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """``ratio_for_semitone(t, n).as_integer_ratio()`` once per distinct offset ``n``."""
+    return {n: ratio_for_semitone(t, n).as_integer_ratio() for n in set(offsets)}
+
+
+def _distances(tones: Sequence[int]) -> list[int]:
+    """Semitone distances of all unordered tone pairs; a duplicate is the unison 0."""
     if len(tones) < 2:
-        raise UndefinedMeasureError(
-            "pairwise-interval measures need at least two tones"
-        )
-    ordered = sorted(tones)
-    return [
-        ratio_for_semitone(t, high - low)
-        for low, high in combinations(ordered, 2)
-    ]
+        raise UndefinedMeasureError("pairwise-interval measures need at least two tones")
+    return [high - low for low, high in combinations(sorted(tones), 2)]
 
 
 def _periodicity(tones: Sequence[int], t: TuningTable) -> AnalysisResult:
     return analyze(Harmony(tuple(sorted(set(tones)))), t)
 
 
-def _ratio_product_factors(tones: Sequence[int], t: TuningTable) -> dict[int, int]:
-    """Prime factorization of ``lcm(numerators) * lcm(denominators)`` of the
-    tones' lowest-tone ratios."""
-    ratios = [ratio_for_semitone(t, n) for n in tones]
-    return prime_factor_multiset(
-        lcm_many(r.numerator for r in ratios) * lcm_many(r.denominator for r in ratios)
-    )
+def _ratio_product(pairs: dict[int, tuple[int, int]], tones: Iterable[int]) -> int:
+    """``lcm(numerators) * lcm(denominators)`` of the tones' lowest-tone ratios."""
+    return math.lcm(*[pairs[n][0] for n in tones]) * math.lcm(*[pairs[n][1] for n in tones])
+
+
+def _factors(tones: Sequence[int], t: TuningTable) -> dict[int, int]:
+    return prime_factor_multiset(_ratio_product(_pairs(t, tones), tones))
 
 
 def _gradus_of(factors: dict[int, int]) -> int:
@@ -99,6 +92,15 @@ def _gradus_of(factors: dict[int, int]) -> int:
 
 def _omega_of(factors: dict[int, int]) -> int:
     return sum(factors.values())
+
+
+def _similarity(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], float]:
+    """Percentage similarity of a tone set's distances: the mean of each
+    distance's ``(a + b - 1) / (a * b)``, summed over one common denominator."""
+    common = math.lcm(*[a * b for a, b in pairs.values()])
+    terms = {d: (a + b - 1) * (common // (a * b)) for d, (a, b) in pairs.items()}
+    # int true division rounds like float(Fraction)
+    return lambda distances: sum(map(terms.__getitem__, distances)) * 100 / (common * len(distances))
 
 
 def _root(product: int, count: int) -> float:
@@ -111,17 +113,16 @@ def _root(product: int, count: int) -> float:
         return math.exp(math.log(product) * exponent)
 
 
-def _brefeld(tones: Sequence[int], t: TuningTable) -> float:
-    # the 2k-th root of the full product over k intervals
-    intervals = pairwise_intervals(tones, t)
-    return _root(math.prod(r.numerator * r.denominator for r in intervals), 2 * len(intervals))
+def _brefeld(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], float]:
+    """Brefeld's value of a tone set's distances: the 2k-th root of the
+    product of every interval's numerator and denominator over k intervals."""
+    products = {d: a * b for d, (a, b) in pairs.items()}
+    return lambda distances: _root(math.prod(map(products.__getitem__, distances)), 2 * len(distances))
 
 
-def _similarity(tones: Sequence[int], t: TuningTable) -> float:
-    intervals = pairwise_intervals(tones, t)
-    total = sum(Fraction(r.numerator + r.denominator - 1, r.numerator * r.denominator)
-                for r in intervals)
-    return float(total / len(intervals) * 100)
+def _pairwise(definition: Callable, tones: Sequence[int], t: TuningTable) -> float:
+    distances = _distances(tones)
+    return definition(_pairs(t, distances))(distances)
 
 
 #: Every computable measure by name, in the order the CLI lists them.
@@ -130,10 +131,10 @@ MEASURES: dict[str, Measure] = {
     for m in (
         Measure("rel_periodicity", lambda tones, t: _periodicity(tones, t).mean_h, 1),
         Measure("log_periodicity", lambda tones, t: _periodicity(tones, t).mean_log_h, 1),
-        Measure("similarity", _similarity, -1),
-        Measure("gradus", lambda tones, t: _gradus_of(_ratio_product_factors(tones, t)), 1),
-        Measure("omega", lambda tones, t: _omega_of(_ratio_product_factors(tones, t)), 1),
-        Measure("brefeld", _brefeld, 1),
+        Measure("similarity", lambda tones, t: _pairwise(_similarity, tones, t), -1),
+        Measure("gradus", lambda tones, t: _gradus_of(_factors(tones, t)), 1),
+        Measure("omega", lambda tones, t: _omega_of(_factors(tones, t)), 1),
+        Measure("brefeld", lambda tones, t: _pairwise(_brefeld, tones, t), 1),
     )
 }
 
@@ -161,20 +162,25 @@ def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> floa
     >>> round(evaluate_measure((0, 4, 7), "similarity", just), 2)
     46.67
     """
-    return float(lookup_measure(measure).compute(tones, t))
+    compute = lookup_measure(measure).compute
+    if any(not isinstance(n, int) for n in tones):
+        raise UsageError(f"tone offsets must be integers, got {tuple(tones)}")
+    if not tones:
+        raise UndefinedMeasureError("a measure needs at least one tone")
+    return float(compute(tones, t))
 
 
 def _column_values(harmonies: Sequence[Harmony], measure: str,
                    t: TuningTable) -> dict[str, list[float]]:
     """``{name: [evaluate_measure(h.semitones, name, t) for h in harmonies]}``
     for ``measure`` and the sibling its pass also yields, equal by ``repr``:
-    both periodicity means come from one set of views, gradus and omega
-    from one factorization.  Computed on ints from one ``(numerator,
-    denominator)`` pair per offset -11..11 instead of Fractions per view."""
-    if measure in ("similarity", "brefeld") and any(len(h) < 2 for h in harmonies):
-        pairwise_intervals((0,), t)  # raises the reference's error
-    pairs = {n: ratio_for_semitone(t, n).as_integer_ratio() for n in range(-11, 12)}
+    both periodicity means from one set of integer inversion views, gradus
+    and omega from one factorization per distinct ratio product, and every
+    value from one ``(numerator, denominator)`` table for offsets -11..11."""
     tones = [h.semitones for h in harmonies]
+    if measure in ("similarity", "brefeld"):
+        distances = list(map(_distances, tones))  # a lone tone raises before any lookup
+    pairs = _pairs(t, range(-11, 12))
     if measure in ("rel_periodicity", "log_periodicity"):
         # per anchor m: the denominators of n - m for n in 0..11, then b_low, a_low
         anchors = [tuple(pairs[n - m][1] for n in range(12)) + pairs[-m][::-1]
@@ -188,23 +194,11 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
             log.append(math.fsum(map(math.log2, views)) / len(views))
         return {"rel_periodicity": rel, "log_periodicity": log}
     if measure in ("gradus", "omega"):
-        products = [math.lcm(*[pairs[n][0] for n in s]) * math.lcm(*[pairs[n][1] for n in s])
-                    for s in tones]
+        products = [_ratio_product(pairs, s) for s in tones]
         # few products recur (87 distinct of 2048 under just): factor each once
         factors = {product: prime_factor_multiset(product) for product in set(products)}
         gradus = {product: float(_gradus_of(f)) for product, f in factors.items()}
         omega = {product: float(_omega_of(f)) for product, f in factors.items()}
         return {"gradus": [gradus[p] for p in products], "omega": [omega[p] for p in products]}
-    if measure == "similarity":
-        # each distance's (a + b - 1) / (a * b) over one common denominator
-        common = math.lcm(*(pairs[d][0] * pairs[d][1] for d in range(1, 12)))
-        terms = {d: (a + b - 1) * (common // (a * b)) for d, (a, b) in pairs.items() if d > 0}
-
-        def value(s: tuple[int, ...]) -> float:
-            total = sum(terms[high - low] for low, high in combinations(s, 2))
-            return total * 100 / (common * (len(s) * (len(s) - 1) // 2))
-    else:
-        def value(s: tuple[int, ...]) -> float:
-            intervals = [pairs[high - low] for low, high in combinations(s, 2)]
-            return _root(math.prod(a * b for a, b in intervals), 2 * len(intervals))
-    return {measure: list(map(value, tones))}
+    value = (_similarity if measure == "similarity" else _brefeld)(pairs)
+    return {measure: list(map(value, distances))}

@@ -145,6 +145,11 @@ class TestRankTable:
         with pytest.raises(UsageError, match="top must be"):
             rank_table(JUST, "log_periodicity", top=0)
 
+    @pytest.mark.parametrize("cardinality, top", [(2.0, None), (3, 2.5), ("3", None)])
+    def test_non_integer_cardinality_or_top(self, cardinality, top):
+        with pytest.raises(UsageError, match="must be an integer"):
+            rank_table(JUST, "gradus", cardinality, top)
+
     def test_pairwise_measures_reject_single_tone_category(self):
         # the full enumeration includes the one-tone harmony
         with pytest.raises(UndefinedMeasureError):

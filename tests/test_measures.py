@@ -3,7 +3,10 @@
 Integer-valued oracles (gradus, omega) were fixed by hand factorization of
 the ratio products and cross-checked against sympy's ``factorint`` /
 ``primeomega`` before being frozen here; geometric means and similarity
-percentages are closed-form arithmetic on the same ratios.
+percentages are closed-form arithmetic on the same ratios.  ``REFERENCE``
+restates similarity, gradus, omega and brefeld on
+:class:`~fractions.Fraction` ratios, as a referee for their integer
+definitions in :mod:`harmonicity.measures`.
 """
 
 import hashlib
@@ -11,6 +14,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -25,8 +29,8 @@ from harmonicity import (
     builtin_tuning,
     enumerate_harmonies,
     evaluate_measure,
-    pairwise_intervals,
     prime_factor_multiset,
+    ratio_for_semitone,
     rational_tuning,
 )
 from harmonicity import measures
@@ -74,6 +78,50 @@ TRIAD_SIMILARITY = {
     (0, 4, 8): 36.67,
 }
 
+RATIONAL_TUNINGS = {
+    **{name: builtin_tuning(name) for name in ("just", "pythagorean", "kirnberger3", "rational")},
+    "rational-0.001": rational_tuning(0.001),
+}
+
+
+def reference_intervals(tones, t):
+    """Fraction ratios of all unordered tone pairs, mapped by semitone distance."""
+    if len(tones) < 2:
+        raise UndefinedMeasureError("pairwise-interval measures need at least two tones")
+    return [ratio_for_semitone(t, high - low) for low, high in combinations(sorted(tones), 2)]
+
+
+def interval_product(tones, t):
+    """Product of every pair's numerator times denominator, read by distance."""
+    return math.prod(r.numerator * r.denominator
+                     for r in reference_intervals(tones, t))
+
+
+def reference_similarity(tones, t):
+    intervals = reference_intervals(tones, t)
+    total = sum(Fraction(r.numerator + r.denominator - 1, r.numerator * r.denominator)
+                for r in intervals)
+    return float(total / len(intervals) * 100)
+
+
+def reference_brefeld(tones, t):
+    return measures._root(interval_product(tones, t), 2 * math.comb(len(tones), 2))
+
+
+def reference_factors(tones, t):
+    ratios = [ratio_for_semitone(t, n) for n in tones]
+    return prime_factor_multiset(math.lcm(*[r.numerator for r in ratios])
+                                 * math.lcm(*[r.denominator for r in ratios]))
+
+
+REFERENCE = {
+    "similarity": reference_similarity,
+    "gradus": lambda tones, t: float(1 + sum(m * (p - 1) for p, m in reference_factors(tones, t).items())),
+    "omega": lambda tones, t: float(sum(reference_factors(tones, t).values())),
+    "brefeld": reference_brefeld,
+}
+
+
 subsets = st.sets(st.integers(1, 11), min_size=1, max_size=11).map(
     lambda rest: (0,) + tuple(sorted(rest))
 )
@@ -103,6 +151,11 @@ class TestGradusAndOmega:
 
         assert factor_count(m * n) == factor_count(m) + factor_count(n)
 
+    def test_compute_returns_ints(self):
+        # `analyze --measures all` rounds compute's value: 9, not 9.0
+        assert type(gradus((0, 4, 7), JUST)) is int
+        assert type(omega((0, 4, 7), JUST)) is int
+
     def test_gradus_of_one_is_one(self):
         # a lone tone has ratio 1/1
         assert gradus((0,), JUST) == 1
@@ -110,33 +163,36 @@ class TestGradusAndOmega:
 
 
 class TestPairwiseIntervals:
+    """Similarity and brefeld read one interval per unordered tone pair."""
+
     def test_triad_intervals_use_semitone_distance(self):
-        assert pairwise_intervals((0, 4, 7), JUST) == [
-            Fraction(5, 4),   # 0-4
-            Fraction(3, 2),   # 0-7
-            Fraction(6, 5),   # 4-7 -> distance 3
-        ]
+        # {0,2,9}: 2-9 is distance 7 (3/2), not 5/3 divided by 9/8 (40/27)
+        terms = [Fraction(r.numerator + r.denominator - 1, r.numerator * r.denominator)
+                 for r in (Fraction(9, 8), Fraction(5, 3), Fraction(3, 2))]
+        assert evaluate_measure((0, 2, 9), "similarity", JUST) == float(sum(terms) / 3 * 100)
+        assert evaluate_measure((0, 2, 9), "brefeld", JUST) == (9 * 8 * 5 * 3 * 3 * 2) ** (1 / 6)
 
     def test_count_is_pairs(self):
+        # size - 1 unisons and one fifth: C(size - 1, 2) unison pairs, size - 1 fifths
         for size in range(2, 8):
-            tones = tuple(range(0, 2 * size, 2))
-            assert len(pairwise_intervals(tones, JUST)) == math.comb(size, 2)
+            tones = (0,) * (size - 1) + (7,)
+            mean = (math.comb(size - 1, 2) + (size - 1) * Fraction(2, 3)) / math.comb(size, 2)
+            assert evaluate_measure(tones, "similarity", JUST) == float(mean * 100), size
 
     def test_duplicates_yield_unison_interval(self):
-        assert pairwise_intervals((0, 0), JUST) == [Fraction(1)]
+        assert evaluate_measure((0, 0), "similarity", JUST) == 100.0
+        assert evaluate_measure((0, 0), "brefeld", JUST) == 1.0
 
     def test_order_is_irrelevant(self):
-        assert pairwise_intervals((7, 0, 4), JUST) == pairwise_intervals(
-            (0, 4, 7), JUST
-        )
+        for name in ("similarity", "brefeld"):
+            assert evaluate_measure((7, 0, 4), name, JUST) == evaluate_measure((0, 4, 7), name, JUST)
 
     def test_single_tone_is_undefined(self):
-        with pytest.raises(UndefinedMeasureError):
-            pairwise_intervals((0,), JUST)
-        with pytest.raises(UndefinedMeasureError):
-            brefeld((0,), JUST)
-        with pytest.raises(UndefinedMeasureError):
-            similarity((0,), JUST)
+        for name in ("similarity", "brefeld"):
+            with pytest.raises(UndefinedMeasureError, match="at least two tones"):
+                evaluate_measure((0,), name, JUST)
+            with pytest.raises(UndefinedMeasureError):
+                MEASURES[name].compute((0,), JUST)
 
 
 class TestBrefeldValue:
@@ -175,23 +231,21 @@ class TestBrefeldValue:
         # 24 consecutive tones: the exact product is too large for a float
         t = builtin_tuning(tuning)
         tones = tuple(range(24))
-        intervals = pairwise_intervals(tones, t)
-        product = math.prod(r.numerator * r.denominator for r in intervals)
+        product = interval_product(tones, t)
         with pytest.raises(OverflowError):
             float(product)
         value = evaluate_measure(tones, "brefeld", t)
         assert math.isfinite(value)
         assert math.log(value) == pytest.approx(
-            math.log(product) / (2 * len(intervals)), rel=1e-12
+            math.log(product) / (2 * math.comb(24, 2)), rel=1e-12
         )
 
     def test_values_that_fit_a_float_keep_the_float_root(self):
         # 14 tones is the widest Pythagorean cluster whose product fits
         t = builtin_tuning("pythagorean")
         tones = tuple(range(14))
-        intervals = pairwise_intervals(tones, t)
-        product = math.prod(r.numerator * r.denominator for r in intervals)
-        assert brefeld(tones, t) == float(product) ** (1.0 / (2 * len(intervals)))
+        product = interval_product(tones, t)
+        assert brefeld(tones, t) == float(product) ** (1.0 / (2 * math.comb(14, 2)))
 
     @given(subsets.filter(lambda tones: len(tones) >= 2))
     def test_value_is_at_least_one(self, tones):
@@ -272,6 +326,40 @@ class TestEvaluateMeasure:
             value = evaluate_measure((0, 4, 7), name, JUST)
             assert isinstance(value, float) and value > 0.0
 
+    @pytest.mark.parametrize("tones", [(0, 4.0), (0, "4"), (0.0, 4)], ids=repr)
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_non_integer_offsets_are_usage_errors(self, name, tones):
+        with pytest.raises(UsageError, match="must be integers"):
+            evaluate_measure(tones, name, JUST)
+
+    @pytest.mark.parametrize("name, calls", [("similarity", 9), ("brefeld", 9),
+                                             ("gradus", 7), ("omega", 7)])
+    def test_looks_up_each_needed_offset_once(self, monkeypatch, name, calls):
+        # the major scale has 21 tone pairs but 9 distinct distances (no 8, no 10)
+        looked_up = []
+
+        def counting(t, n):
+            looked_up.append(n)
+            return ratio_for_semitone(t, n)
+
+        monkeypatch.setattr(measures, "ratio_for_semitone", counting)
+        evaluate_measure((0, 2, 4, 5, 7, 9, 11), name, JUST)
+        assert len(looked_up) == len(set(looked_up)) == calls
+
+    @given(st.lists(st.integers(0, 127), min_size=1, max_size=8),
+           st.sampled_from(sorted(RATIONAL_TUNINGS)))
+    def test_equals_the_fraction_reference_by_repr(self, tones, tuning_id):
+        # raw tone sets: any order, duplicates, offsets across the MIDI range
+        t = RATIONAL_TUNINGS[tuning_id]
+        for name, reference in REFERENCE.items():
+            try:
+                expected = repr(reference(tones, t))
+            except UndefinedMeasureError:
+                with pytest.raises(UndefinedMeasureError):
+                    evaluate_measure(tones, name, t)
+            else:
+                assert repr(evaluate_measure(tones, name, t)) == expected, name
+
 
 # the measure whose values each measure's column pass also computes
 SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodicity",
@@ -279,9 +367,9 @@ SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodi
 
 
 # SHA-256 of the JSON list, one entry per measure in MEASURES order, of the
-# `evaluate_measure` reprs of every one-octave harmony the measure scores;
-# pins the reference itself, which the repr comparison only checks the
-# kernel against
+# `evaluate_measure` reprs of every one-octave harmony the measure scores,
+# taken from the former Fraction code; pins the values themselves, which
+# the repr comparison only checks the kernel against
 OCTAVE_DIGESTS = {
     "just": "809f9138f18825b2d0f1b1feb9421c5faaa92e9822949a158ceadcced1e2bdf5",
     "pythagorean": "a3f90c43c1949f2b14033865353b93e873a4e2d509811732e7390ff31fc7311b",
@@ -292,8 +380,9 @@ OCTAVE_DIGESTS = {
 
 
 class TestColumnValues:
-    """The integer kernel behind the ranked columns against the Fraction
-    reference ``evaluate_measure``, on every one-octave harmony."""
+    """The column kernel behind the ranked columns against
+    ``evaluate_measure`` on every one-octave harmony, and the values of
+    both against digests taken from the former Fraction code."""
 
     @pytest.mark.parametrize("tuning_id", OCTAVE_DIGESTS)
     def test_equals_evaluate_measure_by_repr(self, tuning_id):
