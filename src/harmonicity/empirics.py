@@ -49,7 +49,6 @@ __all__ = [
     "ReproductionCheck",
     "ReproductionReport",
     "correlate_measure",
-    "golden_correlations",
     "load_dataset",
     "pearson",
     "rank_with_ties",
@@ -418,8 +417,8 @@ def correlate_measure(
 
 @dataclass(frozen=True)
 class GoldenCorrelation:
-    """One published correlation row, computed on the dataset that its
-    ``table``'s reproduction target names.
+    """One published correlation row of a reproduction target, computed on
+    the target's dataset.
 
     ``kind`` is ``strict`` (recomputed and diffed; mismatch fails the
     reproduction), ``info`` (recomputed and shown, but known not to match
@@ -427,7 +426,6 @@ class GoldenCorrelation:
     ``external`` (based on data never published; displayed only).
     """
 
-    table: str
     label: str
     measure: str | None
     tuning: str | None
@@ -439,94 +437,99 @@ class GoldenCorrelation:
 
 _G = GoldenCorrelation
 
-_GOLDEN: tuple[GoldenCorrelation, ...] = (
-    # dyads: footer of the main ranking table
-    _G("table2", "roughness", "roughness", None, "ranks", 0.967, 0.0000),
-    _G("table2", "sonance factor", "sonance_factor", None, "ranks", 0.982, 0.0000),
-    _G("table2", "similarity", "similarity", "just", "ranks", 0.977, 0.0000),
-    _G("table2", "relative periodicity", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
-    # dyads: full correlation survey
-    _G("cor2", "sonance factor", "sonance_factor", None, "ranks", 0.982, 0.0000),
-    _G("cor2", "relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
-    _G("cor2", "logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.982, 0.0000),
-    _G("cor2", "consonance raw value", None, None, "ranks", 0.978, 0.0000, "external"),
-    _G("cor2", "percentage similarity", "similarity", "just", "ranks", 0.977, 0.0000),
-    _G("cor2", "roughness", "roughness", None, "ranks", 0.967, 0.0000),
-    _G("cor2", "gradus suavitatis", "gradus", "just", "ranks", 0.941, 0.0000, "info"),
-    _G("cor2", "consonance value", "brefeld", "just", "ranks", 0.940, 0.0000, "info"),
-    _G("cor2", "pure tonalness", None, None, "ranks", 0.938, 0.0000, "external"),
-    _G("cor2", "relative periodicity (rational)", "rel_periodicity", "rational", "ranks", 0.936, 0.0000),
-    _G("cor2", "logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.936, 0.0000),
-    _G("cor2", "dissonance curve", None, None, "ranks", 0.905, 0.0000, "external"),
-    _G("cor2", "omega measure", "omega", "just", "ranks", 0.886, 0.0000, "info"),
-    _G("cor2", "generalized coincidence", None, None, "ranks", 0.841, 0.0002, "external"),
-    _G("cor2", "relative periodicity (pythagorean)", "rel_periodicity", "pythagorean", "ranks", 0.817, 0.0003),
-    _G("cor2", "relative periodicity (kirnberger3)", "rel_periodicity", "kirnberger3", "ranks", 0.796, 0.0006),
-    _G("cor2", "complex tonalness", None, None, "ranks", 0.738, 0.0020, "external"),
-    # triads: footer of the main ranking table
-    _G("table3", "roughness", "roughness", None, "ranks", 0.352, 0.1193),
-    _G("table3", "instability", "instability", None, "ranks", 0.698, 0.0040),
-    _G("table3", "similarity", "similarity", "just", "ranks", 0.802, 0.0005),
-    _G("table3", "relative periodicity", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
-    _G("table3", "dual process", "dual_process", None, "ranks", 0.791, 0.0006),
-    # triads: full correlation survey
-    _G("cor3", "relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
-    _G("cor3", "logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.831, 0.0002),
-    _G("cor3", "logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.813, 0.0004),
-    _G("cor3", "relative periodicity (rational)", "rel_periodicity", "rational", "ranks", 0.808, 0.0004),
-    _G("cor3", "percentage similarity", "similarity", "just", "ranks", 0.802, 0.0005),
-    _G("cor3", "dual process", "dual_process", None, "ranks", 0.791, 0.0006),
-    _G("cor3", "consonance value", "brefeld", "just", "ranks", 0.755, 0.0014),
-    _G("cor3", "consonance degree", None, None, "ranks", 0.826, 0.0016, "external"),
-    _G("cor3", "dissonance curve", None, None, "ranks", 0.723, 0.0026, "external"),
-    _G("cor3", "instability", "instability", None, "ranks", 0.698, 0.0040),
-    _G("cor3", "gradus suavitatis", "gradus", "just", "ranks", 0.690, 0.0045, "info"),
-    _G("cor3", "sensory dissonance", None, None, "ranks", 0.607, 0.0139, "external"),
-    _G("cor3", "tension", None, None, "ranks", 0.599, 0.0153, "external"),
-    _G("cor3", "pure tonalness", None, None, "ranks", 0.675, 0.0162, "external"),
-    _G("cor3", "critical bandwidth", None, None, "ranks", 0.570, 0.0210, "external"),
-    _G("cor3", "temporal dissonance", None, None, "ranks", 0.503, 0.0399, "external"),
-    _G("cor3", "sonance factor", None, None, "ranks", 0.434, 0.0692, "external"),
-    _G("cor3", "roughness", "roughness", None, "ranks", 0.352, 0.1193),
-    # all 19 root-position three-tone chords
-    _G("table4", "roughness", "roughness", None, "ranks", 0.761, 0.0001),
-    _G("table4", "roughness", "roughness", None, "values", 0.746, 0.0001),
-    _G("table4", "similarity", "similarity", "just", "ranks", 0.760, 0.0001),
-    _G("table4", "similarity", "similarity", "just", "values", 0.765, 0.0001),
-    _G("table4", "relative periodicity", "rel_periodicity", "just", "ranks", 0.713, 0.0003),
-    _G("table4", "relative periodicity", "rel_periodicity", "just", "values", 0.548, 0.0075),
-    _G("table4", "logarithmic periodicity", "log_periodicity", "just", "ranks", 0.867, 0.0000),
-    _G("table4", "logarithmic periodicity", "log_periodicity", "just", "values", 0.810, 0.0000),
-    _G("table4", "dual process", "dual_process", None, "ranks", 0.916, 0.0000),
-    # heptatonic scales
-    _G("table6", "sonance factor", "sonance_factor", None, "ranks", 0.667, 0.0510),
-    _G("table6", "similarity", "similarity", None, "ranks", 0.036, 0.4697),
-    _G("table6", "logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.786, 0.0181),
-    _G("table6", "logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.964, 0.0002),
-)
-
-# Each reproduction target: its dataset and the golden measure columns
-# recomputed cell by cell, as (column name, measure, tuning, tolerance).
-_TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...]]] = {
+# Each reproduction target: its dataset, the golden measure columns
+# recomputed cell by cell as (column name, measure, tuning, tolerance), and
+# its published correlation rows.
+_TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
+                          tuple[GoldenCorrelation, ...]]] = {
+    # footer of the main ranking table
     "table2": ("dyads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("similarity", "similarity", "just", 0.005),
+    ), (
+        _G("roughness", "roughness", None, "ranks", 0.967, 0.0000),
+        _G("sonance factor", "sonance_factor", None, "ranks", 0.982, 0.0000),
+        _G("similarity", "similarity", "just", "ranks", 0.977, 0.0000),
+        _G("relative periodicity", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
     )),
+    # footer of the main ranking table
     "table3": ("triads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("similarity", "similarity", "just", 0.005),
+    ), (
+        _G("roughness", "roughness", None, "ranks", 0.352, 0.1193),
+        _G("instability", "instability", None, "ranks", 0.698, 0.0040),
+        _G("similarity", "similarity", "just", "ranks", 0.802, 0.0005),
+        _G("relative periodicity", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
+        _G("dual process", "dual_process", None, "ranks", 0.791, 0.0006),
     )),
+    # all 19 root-position three-tone chords
     "table4": ("complete_triads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("log_periodicity", "log_periodicity", "just", 0.001),
         ("similarity", "similarity", "just", 0.005),
+    ), (
+        _G("roughness", "roughness", None, "ranks", 0.761, 0.0001),
+        _G("roughness", "roughness", None, "values", 0.746, 0.0001),
+        _G("similarity", "similarity", "just", "ranks", 0.760, 0.0001),
+        _G("similarity", "similarity", "just", "values", 0.765, 0.0001),
+        _G("relative periodicity", "rel_periodicity", "just", "ranks", 0.713, 0.0003),
+        _G("relative periodicity", "rel_periodicity", "just", "values", 0.548, 0.0075),
+        _G("logarithmic periodicity", "log_periodicity", "just", "ranks", 0.867, 0.0000),
+        _G("logarithmic periodicity", "log_periodicity", "just", "values", 0.810, 0.0000),
+        _G("dual process", "dual_process", None, "ranks", 0.916, 0.0000),
     )),
+    # heptatonic scales
     "table6": ("church_modes", (
         ("log_periodicity_just", "log_periodicity", "just", 0.001),
         ("log_periodicity_rational", "log_periodicity", "rational", 0.001),
+    ), (
+        _G("sonance factor", "sonance_factor", None, "ranks", 0.667, 0.0510),
+        _G("similarity", "similarity", None, "ranks", 0.036, 0.4697),
+        _G("logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.786, 0.0181),
+        _G("logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.964, 0.0002),
     )),
-    "cor2": ("dyads", ()),
-    "cor3": ("triads", ()),
+    # full correlation survey
+    "cor2": ("dyads", (), (
+        _G("sonance factor", "sonance_factor", None, "ranks", 0.982, 0.0000),
+        _G("relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
+        _G("logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.982, 0.0000),
+        _G("consonance raw value", None, None, "ranks", 0.978, 0.0000, "external"),
+        _G("percentage similarity", "similarity", "just", "ranks", 0.977, 0.0000),
+        _G("roughness", "roughness", None, "ranks", 0.967, 0.0000),
+        _G("gradus suavitatis", "gradus", "just", "ranks", 0.941, 0.0000, "info"),
+        _G("consonance value", "brefeld", "just", "ranks", 0.940, 0.0000, "info"),
+        _G("pure tonalness", None, None, "ranks", 0.938, 0.0000, "external"),
+        _G("relative periodicity (rational)", "rel_periodicity", "rational", "ranks", 0.936, 0.0000),
+        _G("logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.936, 0.0000),
+        _G("dissonance curve", None, None, "ranks", 0.905, 0.0000, "external"),
+        _G("omega measure", "omega", "just", "ranks", 0.886, 0.0000, "info"),
+        _G("generalized coincidence", None, None, "ranks", 0.841, 0.0002, "external"),
+        _G("relative periodicity (pythagorean)", "rel_periodicity", "pythagorean", "ranks", 0.817, 0.0003),
+        _G("relative periodicity (kirnberger3)", "rel_periodicity", "kirnberger3", "ranks", 0.796, 0.0006),
+        _G("complex tonalness", None, None, "ranks", 0.738, 0.0020, "external"),
+    )),
+    # full correlation survey
+    "cor3": ("triads", (), (
+        _G("relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
+        _G("logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.831, 0.0002),
+        _G("logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.813, 0.0004),
+        _G("relative periodicity (rational)", "rel_periodicity", "rational", "ranks", 0.808, 0.0004),
+        _G("percentage similarity", "similarity", "just", "ranks", 0.802, 0.0005),
+        _G("dual process", "dual_process", None, "ranks", 0.791, 0.0006),
+        _G("consonance value", "brefeld", "just", "ranks", 0.755, 0.0014),
+        _G("consonance degree", None, None, "ranks", 0.826, 0.0016, "external"),
+        _G("dissonance curve", None, None, "ranks", 0.723, 0.0026, "external"),
+        _G("instability", "instability", None, "ranks", 0.698, 0.0040),
+        _G("gradus suavitatis", "gradus", "just", "ranks", 0.690, 0.0045, "info"),
+        _G("sensory dissonance", None, None, "ranks", 0.607, 0.0139, "external"),
+        _G("tension", None, None, "ranks", 0.599, 0.0153, "external"),
+        _G("pure tonalness", None, None, "ranks", 0.675, 0.0162, "external"),
+        _G("critical bandwidth", None, None, "ranks", 0.570, 0.0210, "external"),
+        _G("temporal dissonance", None, None, "ranks", 0.503, 0.0399, "external"),
+        _G("sonance factor", None, None, "ranks", 0.434, 0.0692, "external"),
+        _G("roughness", "roughness", None, "ranks", 0.352, 0.1193),
+    )),
 }
 
 #: Valid arguments to :func:`reproduce`.
@@ -534,20 +537,6 @@ REPRODUCTION_TARGETS = tuple(_TARGETS)
 
 _TOLERANCE_R = 0.005
 _TOLERANCE_P = 0.0005
-
-
-def _check_target(target: str) -> None:
-    if target not in _TARGETS:
-        valid = ", ".join(_TARGETS)
-        raise UsageError(f"unknown reproduction target {target!r}; valid targets: {valid}")
-
-
-def golden_correlations(table: str | None = None) -> tuple[GoldenCorrelation, ...]:
-    """The published correlation rows, optionally filtered by table."""
-    if table is None:
-        return _GOLDEN
-    _check_target(table)
-    return tuple(g for g in _GOLDEN if g.table == table)
 
 
 @dataclass(frozen=True)
@@ -591,12 +580,13 @@ def reproduce(target: str, tuning: str | None = None) -> ReproductionReport:
     ``tuning`` optionally restricts the work to golden cells computed under
     that tuning (rows with no tuning — static columns — are kept).
     """
-    _check_target(target)
-    dataset_id, golden_columns = _TARGETS[target]
+    if target not in _TARGETS:
+        valid = ", ".join(_TARGETS)
+        raise UsageError(f"unknown reproduction target {target!r}; valid targets: {valid}")
+    dataset_id, golden_columns, golden_rows = _TARGETS[target]
     dataset = load_dataset(dataset_id)
     checks: list[ReproductionCheck] = []
 
-    golden_rows = golden_correlations(target)
     if tuning is not None:
         present = {g[2] for g in golden_columns} | {
             g.tuning for g in golden_rows if g.tuning is not None

@@ -24,7 +24,9 @@ Similarity, gradus, omega and brefeld each have one integer definition on
 ``(numerator, denominator)`` pairs looked up once per distinct offset:
 :func:`evaluate_measure` looks up what its tone set needs, and
 ``_column_values``, behind the ranked columns of
-:mod:`harmonicity.enumeration`, offsets -11..11 once per column.
+:mod:`harmonicity.enumeration`, offsets -11..11 once per column.  The
+periodicity pair goes through :func:`~harmonicity.periodicity.analyze`;
+the kernel calls the same h' and means on its per-anchor denominator rows.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import UndefinedMeasureError, UsageError
-from .periodicity import AnalysisResult, Harmony, analyze
+from .periodicity import AnalysisResult, Harmony, _h_prime, _means, analyze
 from .rationals import prime_factor_multiset
 from .tuning import TuningTable, ratio_for_semitone
 
@@ -182,17 +184,13 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
         distances = list(map(_distances, tones))  # a lone tone raises before any lookup
     pairs = _pairs(t, range(-11, 12))
     if measure in ("rel_periodicity", "log_periodicity"):
-        # per anchor m: the denominators of n - m for n in 0..11, then b_low, a_low
-        anchors = [tuple(pairs[n - m][1] for n in range(12)) + pairs[-m][::-1]
-                   for m in range(12)]
-        rel, log = [], []
-        for s in tones:
-            # h' of the view from tone m: lcm of its denominators // b_low * a_low
-            views = [math.lcm(*[row[n] for n in s]) // row[12] * row[13]
-                     for row in map(anchors.__getitem__, s)]
-            rel.append(sum(views) / len(views))  # rounds like float(Fraction)
-            log.append(math.fsum(map(math.log2, views)) / len(views))
-        return {"rel_periodicity": rel, "log_periodicity": log}
+        # per anchor m: the denominators of n - m for n in 0..11; the view
+        # from tone m has its lowest ratio at tone 0, offset -m
+        anchors = [[pairs[n - m][1] for n in range(12)] for m in range(12)]
+        means = [_means([_h_prime([anchors[m][n] for n in s], pairs[-m]) for m in s])
+                 for s in tones]
+        return {"rel_periodicity": [rel for rel, _ in means],
+                "log_periodicity": [log for _, log in means]}
     if measure in ("gradus", "omega"):
         products = [_ratio_product(pairs, s) for s in tones]
         # few products recur (87 distinct of 2048 under just): factor each once

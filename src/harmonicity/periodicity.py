@@ -11,6 +11,9 @@ re-reference the harmony to each of its tones in turn, compute each view's
 base, and average.  Every rescaled value is an integer.  Both the
 arithmetic mean and the mean of ``log2`` (the log of the geometric mean)
 are reported; values stay exact until the final averaging step.
+
+h' and both means are defined once, on ints, for :func:`analyze` and for
+the rank kernel in :mod:`harmonicity.measures`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import UsageError
-from .rationals import lcm_many
 from .tuning import TuningTable, ratio_for_semitone
 
 __all__ = [
@@ -109,14 +111,25 @@ def inversion_offsets(h: Harmony, i: int) -> tuple[int, ...]:
     return tuple(n - anchor for n in h.semitones)
 
 
+def _h_prime(dens: Iterable[int], low: tuple[int, int]) -> int:
+    """h' of one view: the lcm ``L`` of its ratio denominators ``dens`` times
+    its lowest ratio ``low = (a, b)``.  ``b`` divides ``L``; for the root view
+    (lowest ratio 1/1) h' is the raw periodicity ``L``."""
+    return math.lcm(*dens) // low[1] * low[0]
+
+
+def _means(views: Sequence[int]) -> tuple[float, float]:
+    """The mean and the mean log2 of h' values; int true division rounds
+    the exact mean once."""
+    k = len(views)
+    return sum(views) / k, math.fsum(map(math.log2, views)) / k
+
+
 def _view_h(offsets: tuple[int, ...], t: TuningTable) -> int:
-    """Rescaled periodicity h' of one view: the lcm ``L`` of its ratio
-    denominators times its lowest ratio ``a/b``.  ``b`` divides ``L``, so
-    h' is the integer ``L // b * a``; for the root view (lowest ratio 1/1)
-    it is the raw periodicity ``L``."""
-    ratios = [ratio_for_semitone(t, n) for n in offsets]
-    low = min(ratios)
-    return lcm_many([r.denominator for r in ratios]) // low.denominator * low.numerator
+    """h' of one view; ratios increase with the semitone, so its first
+    offset has the lowest ratio."""
+    pairs = [ratio_for_semitone(t, n).as_integer_ratio() for n in offsets]
+    return _h_prime([b for _, b in pairs], pairs[0])
 
 
 @dataclass(frozen=True)
@@ -156,14 +169,9 @@ def analyze(h: Harmony, t: TuningTable, average_inversions: bool = True) -> Anal
     """
     indices = range(len(h)) if average_inversions else range(1)
     values = tuple(_view_h(inversion_offsets(h, i), t) for i in indices)
-    return AnalysisResult(
-        harmony=h,
-        tuning=t.name,
-        raw_h=values[0],
-        inversion_h=values,
-        mean_h=float(Fraction(sum(values), len(values))),
-        mean_log_h=math.fsum(math.log2(v) for v in values) / len(values),
-    )
+    mean_h, mean_log_h = _means(values)
+    return AnalysisResult(harmony=h, tuning=t.name, raw_h=values[0], inversion_h=values,
+                          mean_h=mean_h, mean_log_h=mean_log_h)
 
 
 def fundamental_frequency(h: Harmony, t: TuningTable, f1: float) -> float:

@@ -27,6 +27,7 @@ from harmonicity import (
     MEASURES,
     REPRODUCTION_TARGETS,
     ParseError,
+    load_dataset,
 )
 from harmonicity.cli import DEFAULT_F1_HZ, main, parse_pitch_spec
 
@@ -332,11 +333,107 @@ OUTPUT_DIGESTS = {
 }
 
 
+def _digest(capsys, argvs):
+    """SHA-256 over the JSON list [exit code, stdout, stderr] of each argv."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(json.dumps(run(capsys, argv)).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("command", OUTPUT_DIGESTS)
 def test_outputs_are_unchanged(capsys, command):
-    code, out, err = run(capsys, shlex.split(command))
-    digest = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
-    assert digest == OUTPUT_DIGESTS[command]
+    assert _digest(capsys, [shlex.split(command)]) == OUTPUT_DIGESTS[command]
+
+
+def _correlate_argvs(dataset, tuning, mode):
+    """`correlate` in each format naming all six measures and the dataset's
+    columns (only the columns under `--tuning none`); a column with gaps
+    exits 2 before the names after it, so it runs in an argv of its own."""
+    columns = load_dataset(dataset).static_columns
+    names = list(columns) if tuning == "none" else list(dict.fromkeys([*MEASURES, *columns]))
+    gapped = [name for name in names if None in columns.get(name, ())]
+    groups = [[name for name in names if name not in gapped]] + [[name] for name in gapped]
+    for fmt in ("text", "csv", "json"):
+        for group in groups:
+            flags = [arg for name in group for arg in ("--measure", name)]
+            yield ["correlate", "--dataset", dataset, "--tuning", tuning,
+                   "--mode", mode, "--format", fmt, *flags]
+
+
+# digests of `_correlate_argvs` per (dataset, tuning, mode), taken while
+# `analyze` found each view's lowest ratio by `min` over Fractions and
+# averaged through `Fraction(sum, k)`; JSON prints r and p in full
+# precision, and the datasets hold tone sets beyond one octave and literal
+# unisons (dyads have no ratings, so their `values` argvs exit 2)
+CORRELATE_DIGESTS = {
+    ("dyads", "none", "ranks"): "a3c9b289633673d8c5f2ac55390913165cea9d8d8f4ede81e0f19c84f3555e5f",
+    ("dyads", "none", "values"): "0b5b51d553e6be9720c56ed44a8c72f3e617928a3c264e68d3d8dd5e1be0f930",
+    ("dyads", "just", "ranks"): "fc68518ff41531a096ea63019da3764c7a0ac5227a127c5f539d7e04a47f0dcb",
+    ("dyads", "just", "values"): "0b5b51d553e6be9720c56ed44a8c72f3e617928a3c264e68d3d8dd5e1be0f930",
+    ("dyads", "rational", "ranks"): "d2da4f18be8db04cd17a242f7f2575946d3a5f977052c9b3d0724d00d131a4c6",
+    ("dyads", "rational", "values"): "0b5b51d553e6be9720c56ed44a8c72f3e617928a3c264e68d3d8dd5e1be0f930",
+    ("dyads", "pythagorean", "ranks"): "5a55c7a2b8ab5567f723e845a9790137a7578276a2233d066d30045a9fa9da42",
+    ("dyads", "pythagorean", "values"): "0b5b51d553e6be9720c56ed44a8c72f3e617928a3c264e68d3d8dd5e1be0f930",
+    ("dyads", "kirnberger3", "ranks"): "4a81cebdf47c8bc5aa01f732841e7548c57403773acb20505f2be37a5ad4396c",
+    ("dyads", "kirnberger3", "values"): "0b5b51d553e6be9720c56ed44a8c72f3e617928a3c264e68d3d8dd5e1be0f930",
+    ("triads", "none", "ranks"): "a0de21b64ad7c53facec502ce943d39ee9267081702e9b8b7d6ce6a6c5d9d083",
+    ("triads", "none", "values"): "f1a4acf70a7fe1c67ce1742c173a7586db514410c8444f5917afd32e240575e9",
+    ("triads", "just", "ranks"): "2b6726266cb26d22fa7a0655fe5b1e6278d0a99c24d8216be5c23eb81fb79606",
+    ("triads", "just", "values"): "fcc7e9e143fedc98ad6b0585dc7db218b6ebf60ff4d2f6770d920a9d9d89f8ef",
+    ("triads", "rational", "ranks"): "e19d3f1b65d659d119f0844832604dd75b6e12a7d52d33dbd1a0f10e10df9339",
+    ("triads", "rational", "values"): "fd352ceaa68695859e19283437f4f8cf2aa4e3fb44b1ce5b38670397a6ce1b15",
+    ("triads", "pythagorean", "ranks"): "3d682097fdeb14a96de187dbc4fb19e04d1a46279d365f1cf61f90509a7146fb",
+    ("triads", "pythagorean", "values"): "88c31b1da80714515a5babc27d956e1a1984cf40dfdd33d720ac6d0d4fb828e2",
+    ("triads", "kirnberger3", "ranks"): "309cfff15f31ccf64c931422e30904d62134ccd1dc2d41976fda5228574e35a0",
+    ("triads", "kirnberger3", "values"): "8dfd4b7d63d7ccd0005bd0ca464540f733bae8b60f0e97d8b5511d109331583f",
+    ("complete_triads", "none", "ranks"): "da4dfde5324dfe5f82d4932634147cff0c92f0278e71e9b53eb1946178f4e54f",
+    ("complete_triads", "none", "values"): "79a3a3286e59de9a06fa9bf0b39b58a1031988c1ea8584cd2217d80fae3a3262",
+    ("complete_triads", "just", "ranks"): "4359fa6e6d83b878e29262656ab99fc51bbfcd77551c6d9313b7f85945ac312c",
+    ("complete_triads", "just", "values"): "09d82ed7c496ee3d3095dfde83b79d34e8fe7c19e3cf0f0e845eafc827267207",
+    ("complete_triads", "rational", "ranks"): "701bc423459446acaa2a120598f601b2ac509dcd8988a892b87642bfc6e7da3d",
+    ("complete_triads", "rational", "values"): "ee120fbf55d7df0f4f11ee3212f6cfaef18c07a23d5c606ab7a1d7ba9754bf6a",
+    ("complete_triads", "pythagorean", "ranks"): "8dd360b51df6b55cb8d3102028392392392d1ffa2719a379fab18529b9835639",
+    ("complete_triads", "pythagorean", "values"): "ed1d7f1ccc621e077a5030b249709f6345b5dbbc4e37d5d9ec283321c445d1a2",
+    ("complete_triads", "kirnberger3", "ranks"): "0d4aa33ed4467361fd2cfee34ee4fbacc5e65b5ab16b9e51e5bce6b48bf3aedc",
+    ("complete_triads", "kirnberger3", "values"): "f58e473eaf1d77ee92870e8dc68aa4c1f9722778f4d460b37619740658f65b51",
+    ("church_modes", "none", "ranks"): "c1ee686f4ee0899b14d4ea4e434ef45e45cc81f0811dcc9938e3f0ae7286b956",
+    ("church_modes", "none", "values"): "357fecd2e7104127cef829e38bb28e44d2b4ff48809d0c0cc2a989aa13e3ed12",
+    ("church_modes", "just", "ranks"): "0b4a7449235ad73e4cbc927505c4d9a66c88b3f7ed90fc6767498fb7fbd20571",
+    ("church_modes", "just", "values"): "72ef62ae0625d7da9accd610e6c4354631a6172e027288908bd19846181a9178",
+    ("church_modes", "rational", "ranks"): "a7bc3e7458c13a06e7d2827cca75f6610da14a600ab27e0b12e4e57f1031c6dc",
+    ("church_modes", "rational", "values"): "9ad9c2bdc872c783872c5e7547944e63acc2f5096d8e3d72f6fed9dbb3310d2b",
+    ("church_modes", "pythagorean", "ranks"): "de4b187756af92e628d2a6ed5fdae01b31d3fd5b878d1ea8f40b22d161532a53",
+    ("church_modes", "pythagorean", "values"): "afb5bc303c99797c72638923e39a2a7ccb033a7ce31f96626f3f61909c568f9d",
+    ("church_modes", "kirnberger3", "ranks"): "a624813a100caf13af2fee3da905b1baa0f1957b89830f53dbd71f660debeffc",
+    ("church_modes", "kirnberger3", "values"): "82b6bb4501ba9a64389675f9bb60eb1e604483668fe2e34202e5778dd2016b68",
+}
+
+
+@pytest.mark.parametrize("dataset, tuning, mode", CORRELATE_DIGESTS,
+                         ids=[" ".join(key) for key in CORRELATE_DIGESTS])
+def test_correlate_outputs_are_unchanged(capsys, dataset, tuning, mode):
+    digest = _digest(capsys, _correlate_argvs(dataset, tuning, mode))
+    assert digest == CORRELATE_DIGESTS[dataset, tuning, mode]
+
+
+# digests of `tuning` in text, csv and json per name and flags, taken at the
+# same time
+TUNING_DIGESTS = {
+    "equal": "4d7359d2bae23f6b4107857dc51906e890099e9662cd9cd41f8a09ff69fb65f3",
+    "pythagorean": "5f142b94528c192a605749f2752443cde20f3cd256865c5e1893e0e60ee04abb",
+    "kirnberger3": "4ec6cc074b7d9cd0f5a54086055ef5a06908fdb91fb02a582d297c2f36bcaa96",
+    "rational": "e713a346653b62a6fcb51362085658cf5204e5beda4000478b261b47a7a6c364",
+    "just": "b12ad018f2a80debec72437783e036d1e75143d409f555aaa39d1ca0b51d0a39",
+    "rational --precision 0.005": "2c62b9646059e539dd6f4a3e4cc01f60e0310688f50d920263f2a5e4f0f80632",
+    "rational --precision 0.001": "112474a074f5ab74e4bb187602556ffe5637697c70a5d4064dc2e4d07f6e3d87",
+}
+
+
+@pytest.mark.parametrize("tuning", TUNING_DIGESTS)
+def test_tuning_outputs_are_unchanged(capsys, tuning):
+    argvs = (["tuning", *tuning.split(), "--format", fmt] for fmt in ("text", "csv", "json"))
+    assert _digest(capsys, argvs) == TUNING_DIGESTS[tuning]
 
 
 class TestCorrelateCommand:

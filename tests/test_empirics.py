@@ -19,7 +19,6 @@ from harmonicity import (
     UsageError,
     builtin_tuning,
     correlate_measure,
-    golden_correlations,
     load_dataset,
     pearson,
     rank_with_ties,
@@ -369,22 +368,11 @@ class TestCorrelateMeasure:
 
 
 class TestGoldenRegistry:
-    def test_filter_by_table(self):
-        rows = golden_correlations("cor3")
-        assert rows and all(row.table == "cor3" for row in rows)
-        assert len(golden_correlations()) == sum(
-            len(golden_correlations(t)) for t in REPRODUCTION_TARGETS
-        )
-
-    def test_unknown_table(self):
-        with pytest.raises(UsageError, match="valid targets"):
-            golden_correlations("table9")
-
     def test_kinds(self):
-        kinds = {row.kind for row in golden_correlations()}
-        assert kinds == {"strict", "info", "external"}
-        external = [row for row in golden_correlations() if row.kind == "external"]
-        assert all(row.measure is None for row in external)
+        checks = [check for target in REPRODUCTION_TARGETS for check in reproduce(target).checks]
+        assert {check.kind for check in checks} == {"strict", "info", "external"}
+        external = [check for check in checks if check.kind == "external"]
+        assert all(check.computed is None for check in external)
 
 
 class TestReproduce:
@@ -420,7 +408,8 @@ class TestReproduce:
             reproduce("cor2", tuning="equal")
 
     def test_unknown_target(self):
-        with pytest.raises(UsageError, match="valid"):
+        with pytest.raises(UsageError, match="unknown reproduction target 'table9'; "
+                           "valid targets: table2, table3, table4, table6, cor2, cor3"):
             reproduce("table9")
 
     def test_json_payload(self, cli_stdout):

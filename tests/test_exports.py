@@ -1,8 +1,12 @@
 """Public surface: every exported name resolves, so deleting a function
-cannot leave a stale entry in an ``__all__``."""
+cannot leave a stale entry in an ``__all__``, and every name the benchmark
+under ``perfbench/`` imports still exists."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ MODULES = [harmonicity] + [
     importlib.import_module(f"harmonicity.{info.name}")
     for info in pkgutil.iter_modules(harmonicity.__path__)
 ]
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
@@ -25,3 +30,27 @@ def test_package_exports_are_unique():
     # the package star-imports its modules, so a name two modules export
     # would silently hide one of them
     assert len(set(harmonicity.__all__)) == len(harmonicity.__all__)
+
+
+@pytest.mark.parametrize("script", ["worker.py", "pin.py"])
+def test_benchmark_imports_resolve(script):
+    # the benchmark imports some names that nothing in the package calls
+    # (lcm_many); deleting one would break every benchmark run
+    tree = ast.parse((BENCHMARK / script).read_text(encoding="utf-8"))
+    imports = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("harmonicity")
+               for alias in node.names]
+    assert imports
+    missing = [name for name in imports if not _resolves(name)]
+    assert missing == [], f"perfbench/{script} imports what the package no longer defines"
+
+
+def _resolves(dotted):
+    """Whether ``from module import name`` finds ``name``, a submodule included."""
+    module, name = dotted.rsplit(".", 1)
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        return importlib.util.find_spec(dotted) is not None
+    except ModuleNotFoundError:  # ``module`` is not a package
+        return False

@@ -4,15 +4,17 @@ Integer-valued oracles (gradus, omega) were fixed by hand factorization of
 the ratio products and cross-checked against sympy's ``factorint`` /
 ``primeomega`` before being frozen here; geometric means and similarity
 percentages are closed-form arithmetic on the same ratios.  ``REFERENCE``
-restates similarity, gradus, omega and brefeld on
-:class:`~fractions.Fraction` ratios, as a referee for their integer
-definitions in :mod:`harmonicity.measures`.
+restates all six measures on :class:`~fractions.Fraction` ratios, the
+periodicity pair with ``min`` over each view's ratios, as a referee for
+their integer definitions in :mod:`harmonicity.measures` and
+:mod:`harmonicity.periodicity`.
 """
 
 import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -114,7 +116,33 @@ def reference_factors(tones, t):
                                  * math.lcm(*[r.denominator for r in ratios]))
 
 
+def reference_views(tones, t):
+    """h' of each inversion view of the distinct tones, which a `Harmony`
+    checks (the lowest is 0): the lcm of the view's Fraction ratio
+    denominators times its lowest ratio."""
+    tones = Harmony(tuple(sorted(set(tones)))).semitones
+    views = []
+    for anchor in tones:
+        ratios = [ratio_for_semitone(t, n - anchor) for n in tones]
+        h = math.lcm(*[r.denominator for r in ratios]) * min(ratios)
+        assert h.denominator == 1, (tones, anchor)
+        views.append(h.numerator)
+    return views
+
+
+def reference_rel_periodicity(tones, t):
+    views = reference_views(tones, t)
+    return float(Fraction(sum(views), len(views)))
+
+
+def reference_log_periodicity(tones, t):
+    views = reference_views(tones, t)
+    return math.fsum(math.log2(v) for v in views) / len(views)
+
+
 REFERENCE = {
+    "rel_periodicity": reference_rel_periodicity,
+    "log_periodicity": reference_log_periodicity,
     "similarity": reference_similarity,
     "gradus": lambda tones, t: float(1 + sum(m * (p - 1) for p, m in reference_factors(tones, t).items())),
     "omega": lambda tones, t: float(sum(reference_factors(tones, t).values())),
@@ -349,16 +377,19 @@ class TestEvaluateMeasure:
     @given(st.lists(st.integers(0, 127), min_size=1, max_size=8),
            st.sampled_from(sorted(RATIONAL_TUNINGS)))
     def test_equals_the_fraction_reference_by_repr(self, tones, tuning_id):
-        # raw tone sets: any order, duplicates, offsets across the MIDI range
+        # raw tone sets: any order, duplicates, offsets across the MIDI range;
+        # the periodicity pair rejects a set without 0, so each set is also
+        # scored with 0 added
         t = RATIONAL_TUNINGS[tuning_id]
-        for name, reference in REFERENCE.items():
-            try:
-                expected = repr(reference(tones, t))
-            except UndefinedMeasureError:
-                with pytest.raises(UndefinedMeasureError):
-                    evaluate_measure(tones, name, t)
-            else:
-                assert repr(evaluate_measure(tones, name, t)) == expected, name
+        for raw in (tones, [0, *tones]):
+            for name, reference in REFERENCE.items():
+                try:
+                    expected = repr(reference(raw, t))
+                except (UndefinedMeasureError, UsageError) as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        evaluate_measure(raw, name, t)
+                else:
+                    assert repr(evaluate_measure(raw, name, t)) == expected, name
 
 
 # the measure whose values each measure's column pass also computes
