@@ -44,7 +44,6 @@ __all__ = [
     "CorrelationReport",
     "DatasetItem",
     "EmpiricalDataset",
-    "GoldenCorrelation",
     "REPRODUCTION_TARGETS",
     "ReproductionCheck",
     "ReproductionReport",
@@ -380,6 +379,9 @@ def correlate_measure(
     """
     if mode not in ("ranks", "values"):
         raise UsageError(f"mode must be 'ranks' or 'values', got {mode!r}")
+    rating_orientation = _DATASETS[dataset.id].rating
+    if mode == "values" and rating_orientation is None:
+        raise UsageError(f"dataset {dataset.id!r} has no ordinal ratings")
     if measure in MEASURES:
         orientation = MEASURES[measure].orientation
     else:
@@ -391,9 +393,6 @@ def correlate_measure(
         x = rank_with_ties([item.empirical for item in dataset.items])
         y = rank_with_ties(values)
     else:
-        rating_orientation = _DATASETS[dataset.id].rating
-        if rating_orientation is None:
-            raise UsageError(f"dataset {dataset.id!r} has no ordinal ratings")
         ratings = dataset.static_columns["rating"]
         paired = [(r_, v) for r_, v in zip(ratings, values) if r_ is not None]
         x = [rating_orientation * r_ for r_, _ in paired]
@@ -416,7 +415,7 @@ def correlate_measure(
 
 
 @dataclass(frozen=True)
-class GoldenCorrelation:
+class _GoldenCorrelation:
     """One published correlation row of a reproduction target, computed on
     the target's dataset.
 
@@ -435,13 +434,13 @@ class GoldenCorrelation:
     kind: str = "strict"
 
 
-_G = GoldenCorrelation
+_G = _GoldenCorrelation
 
 # Each reproduction target: its dataset, the golden measure columns
 # recomputed cell by cell as (column name, measure, tuning, tolerance), and
 # its published correlation rows.
 _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
-                          tuple[GoldenCorrelation, ...]]] = {
+                          tuple[_GoldenCorrelation, ...]]] = {
     # footer of the main ranking table
     "table2": ("dyads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),

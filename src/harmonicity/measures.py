@@ -20,13 +20,13 @@ intervals are mapped by semitone *distance*
 ratios; in unequal tunings the two differ, and only the distance reading
 reproduces the reference similarity tables.
 
-Similarity, gradus, omega and brefeld each have one integer definition on
-``(numerator, denominator)`` pairs looked up once per distinct offset:
-:func:`evaluate_measure` looks up what its tone set needs, and
-``_column_values``, behind the ranked columns of
-:mod:`harmonicity.enumeration`, offsets -11..11 once per column.  The
-periodicity pair goes through :func:`~harmonicity.periodicity.analyze`;
-the kernel calls the same h' and means on its per-anchor denominator rows.
+Every measure has one integer definition on ``(numerator, denominator)``
+pairs: :func:`evaluate_measure` looks up what its tone set needs (the
+periodicity pair per view, through :func:`~harmonicity.periodicity.analyze`),
+and ``_column_values``, behind :mod:`harmonicity.enumeration`, offsets
+-11..11 once per pass, calling the same h' on per-anchor rows of that table.
+Every pass yields a pair: both periodicity means, similarity and brefeld, or
+gradus and omega.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import UndefinedMeasureError, UsageError
-from .periodicity import AnalysisResult, Harmony, _h_prime, _means, analyze
+from .periodicity import AnalysisResult, Harmony, _means, _view_h, analyze
 from .rationals import prime_factor_multiset
-from .tuning import TuningTable, ratio_for_semitone
+from .tuning import TuningTable, _ratio_pairs
 
 __all__ = [
     "MEASURES",
@@ -62,11 +62,6 @@ class Measure:
     orientation: int
 
 
-def _pairs(t: TuningTable, offsets: Iterable[int]) -> dict[int, tuple[int, int]]:
-    """``ratio_for_semitone(t, n).as_integer_ratio()`` once per distinct offset ``n``."""
-    return {n: ratio_for_semitone(t, n).as_integer_ratio() for n in set(offsets)}
-
-
 def _distances(tones: Sequence[int]) -> list[int]:
     """Semitone distances of all unordered tone pairs; a duplicate is the unison 0."""
     if len(tones) < 2:
@@ -75,6 +70,8 @@ def _distances(tones: Sequence[int]) -> list[int]:
 
 
 def _periodicity(tones: Sequence[int], t: TuningTable) -> AnalysisResult:
+    if min(tones, default=0) != 0:
+        raise UsageError(f"periodicity measures need the lowest raw tone to be 0, got {tuple(tones)}")
     return analyze(Harmony(tuple(sorted(set(tones)))), t)
 
 
@@ -84,7 +81,7 @@ def _ratio_product(pairs: dict[int, tuple[int, int]], tones: Iterable[int]) -> i
 
 
 def _factors(tones: Sequence[int], t: TuningTable) -> dict[int, int]:
-    return prime_factor_multiset(_ratio_product(_pairs(t, tones), tones))
+    return prime_factor_multiset(_ratio_product(_ratio_pairs(t, tones), tones))
 
 
 def _gradus_of(factors: dict[int, int]) -> int:
@@ -124,7 +121,7 @@ def _brefeld(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], flo
 
 def _pairwise(definition: Callable, tones: Sequence[int], t: TuningTable) -> float:
     distances = _distances(tones)
-    return definition(_pairs(t, distances))(distances)
+    return definition(_ratio_pairs(t, distances))(distances)
 
 
 #: Every computable measure by name, in the order the CLI lists them.
@@ -176,19 +173,17 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
                    t: TuningTable) -> dict[str, list[float]]:
     """``{name: [evaluate_measure(h.semitones, name, t) for h in harmonies]}``
     for ``measure`` and the sibling its pass also yields, equal by ``repr``:
-    both periodicity means from one set of integer inversion views, gradus
-    and omega from one factorization per distinct ratio product, and every
-    value from one ``(numerator, denominator)`` table for offsets -11..11."""
+    both periodicity means from one set of integer views, similarity and
+    brefeld from one distance list per harmony, gradus and omega from one
+    factorization per distinct ratio product, all from one table of pairs."""
     tones = [h.semitones for h in harmonies]
     if measure in ("similarity", "brefeld"):
         distances = list(map(_distances, tones))  # a lone tone raises before any lookup
-    pairs = _pairs(t, range(-11, 12))
+    pairs = _ratio_pairs(t, range(-11, 12))
     if measure in ("rel_periodicity", "log_periodicity"):
-        # per anchor m: the denominators of n - m for n in 0..11; the view
-        # from tone m has its lowest ratio at tone 0, offset -m
-        anchors = [[pairs[n - m][1] for n in range(12)] for m in range(12)]
-        means = [_means([_h_prime([anchors[m][n] for n in s], pairs[-m]) for m in s])
-                 for s in tones]
+        # the view from tone m reads tone n at offset n - m
+        rows = [{n: pairs[n - m] for n in range(12)} for m in range(12)]
+        means = [_means([_view_h(rows[m], s) for m in s]) for s in tones]
         return {"rel_periodicity": [rel for rel, _ in means],
                 "log_periodicity": [log for _, log in means]}
     if measure in ("gradus", "omega"):
@@ -198,5 +193,5 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
         gradus = {product: float(_gradus_of(f)) for product, f in factors.items()}
         omega = {product: float(_omega_of(f)) for product, f in factors.items()}
         return {"gradus": [gradus[p] for p in products], "omega": [omega[p] for p in products]}
-    value = (_similarity if measure == "similarity" else _brefeld)(pairs)
-    return {measure: list(map(value, distances))}
+    return {"similarity": list(map(_similarity(pairs), distances)),
+            "brefeld": list(map(_brefeld(pairs), distances))}

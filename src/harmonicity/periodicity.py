@@ -12,8 +12,9 @@ base, and average.  Every rescaled value is an integer.  Both the
 arithmetic mean and the mean of ``log2`` (the log of the geometric mean)
 are reported; values stay exact until the final averaging step.
 
-h' and both means are defined once, on ints, for :func:`analyze` and for
-the rank kernel in :mod:`harmonicity.measures`.
+h' of one view and both means are defined once, on integer ratio pairs:
+:func:`analyze` looks up each view's pairs, and the rank kernel in
+:mod:`harmonicity.measures` calls the same h' on rows of one pair table.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
-from .tuning import TuningTable, ratio_for_semitone
+from .tuning import TuningTable, _ratio_pairs, ratio_for_semitone
 
 __all__ = [
     "AnalysisResult",
@@ -99,7 +100,7 @@ def raw_periodicity(h: Harmony, t: TuningTable) -> int:
     >>> raw_periodicity(Harmony((0, 4, 7)), builtin_tuning("just"))
     4
     """
-    return _view_h(h.semitones, t)
+    return _view_h(_ratio_pairs(t, h.semitones), h.semitones)
 
 
 def inversion_offsets(h: Harmony, i: int) -> tuple[int, ...]:
@@ -111,11 +112,13 @@ def inversion_offsets(h: Harmony, i: int) -> tuple[int, ...]:
     return tuple(n - anchor for n in h.semitones)
 
 
-def _h_prime(dens: Iterable[int], low: tuple[int, int]) -> int:
-    """h' of one view: the lcm ``L`` of its ratio denominators ``dens`` times
-    its lowest ratio ``low = (a, b)``.  ``b`` divides ``L``; for the root view
-    (lowest ratio 1/1) h' is the raw periodicity ``L``."""
-    return math.lcm(*dens) // low[1] * low[0]
+def _view_h(row: Mapping[int, tuple[int, int]], tones: Sequence[int]) -> int:
+    """h' of one view: ``row[n]`` is tone ``n``'s ratio ``(a, b)`` to the
+    view's reference tone, and h' the lcm ``L`` of the ``b`` times the lowest
+    ratio, at the lowest tone ``tones[0]`` since ratios increase with the
+    semitone.  For the root view (lowest ratio 1/1) h' is ``L``."""
+    a, b = row[tones[0]]
+    return math.lcm(*[row[n][1] for n in tones]) // b * a
 
 
 def _means(views: Sequence[int]) -> tuple[float, float]:
@@ -123,13 +126,6 @@ def _means(views: Sequence[int]) -> tuple[float, float]:
     the exact mean once."""
     k = len(views)
     return sum(views) / k, math.fsum(map(math.log2, views)) / k
-
-
-def _view_h(offsets: tuple[int, ...], t: TuningTable) -> int:
-    """h' of one view; ratios increase with the semitone, so its first
-    offset has the lowest ratio."""
-    pairs = [ratio_for_semitone(t, n).as_integer_ratio() for n in offsets]
-    return _h_prime([b for _, b in pairs], pairs[0])
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,8 @@ def analyze(h: Harmony, t: TuningTable, average_inversions: bool = True) -> Anal
     (15, 25, 6)
     """
     indices = range(len(h)) if average_inversions else range(1)
-    values = tuple(_view_h(inversion_offsets(h, i), t) for i in indices)
+    views = (inversion_offsets(h, i) for i in indices)
+    values = tuple(_view_h(_ratio_pairs(t, view), view) for view in views)
     mean_h, mean_log_h = _means(values)
     return AnalysisResult(harmony=h, tuning=t.name, raw_h=values[0], inversion_h=values,
                           mean_h=mean_h, mean_log_h=mean_log_h)

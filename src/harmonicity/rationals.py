@@ -35,6 +35,7 @@ Real = Union[int, float, Fraction]
 _MAX_MEDIANTS = 1_000_000
 
 
+# nothing in the package calls this; it stays because perfbench/worker.py imports it
 def lcm_many(values: Iterable[int]) -> int:
     """Return the least common multiple of one or more positive integers.
 

@@ -7,13 +7,15 @@ period computation — it serves as the deviation reference only.
 
 The ``rational`` table is generated, not transcribed: each ratio is the
 smallest-denominator fraction within 1% of its equal-tempered value.
+``_ratio_pairs`` turns ratios into the ``(numerator, denominator)`` pairs
+that every measure computes on; no other module converts a ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import TuningError, UsageError
 from .rationals import approximate
@@ -167,6 +169,11 @@ def ratio_for_semitone(t: TuningTable, n: int) -> Fraction:
         )
     octaves, semitone = divmod(n, 12)
     return t.ratios[semitone] * Fraction(2) ** octaves
+
+
+def _ratio_pairs(t: TuningTable, offsets: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """``ratio_for_semitone(t, n)`` as ``(numerator, denominator)``, once per distinct ``n``."""
+    return {n: ratio_for_semitone(t, n).as_integer_ratio() for n in set(offsets)}
 
 
 def deviation(t: TuningTable, k: int) -> float:

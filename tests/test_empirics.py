@@ -25,6 +25,7 @@ from harmonicity import (
     reproduce,
     significance,
 )
+from harmonicity import empirics
 from harmonicity.cli import main
 from harmonicity.empirics import (
     DATASET_IDS,
@@ -344,10 +345,18 @@ class TestCorrelateMeasure:
         assert payload["n"] == 13
         assert payload["r"] == pytest.approx(0.982, abs=5e-4)
 
-    def test_values_mode_needs_ratings(self):
-        with pytest.raises(UsageError, match="no ordinal ratings"):
-            correlate_measure(load_dataset("dyads"), "rel_periodicity", JUST,
-                              mode="values")
+    def test_values_mode_needs_ratings(self, monkeypatch):
+        # checked before any value is computed
+        evaluated, evaluate = [], empirics.evaluate_measure
+
+        def counting(*args):
+            evaluated.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(empirics, "evaluate_measure", counting)
+        with pytest.raises(UsageError, match="has no ordinal ratings"):
+            correlate_measure(load_dataset("dyads"), "rel_periodicity", JUST, mode="values")
+        assert evaluated == []
 
     def test_values_mode_skips_unrated_items(self):
         church = load_dataset("church_modes")

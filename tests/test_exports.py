@@ -1,6 +1,7 @@
 """Public surface: every exported name resolves, so deleting a function
-cannot leave a stale entry in an ``__all__``, and every name the benchmark
-under ``perfbench/`` imports still exists."""
+cannot leave a stale entry in an ``__all__``, every name the benchmark
+under ``perfbench/`` imports still exists, and one module turns ratios
+into integer pairs."""
 
 import ast
 import importlib
@@ -17,6 +18,7 @@ MODULES = [harmonicity] + [
     for info in pkgutil.iter_modules(harmonicity.__path__)
 ]
 BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(harmonicity.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
@@ -43,6 +45,15 @@ def test_benchmark_imports_resolve(script):
     assert imports
     missing = [name for name in imports if not _resolves(name)]
     assert missing == [], f"perfbench/{script} imports what the package no longer defines"
+
+
+def test_only_tuning_converts_ratios_to_integer_pairs():
+    # every measure computes on the pairs of tuning._ratio_pairs
+    callers = sorted(path.name for path in PACKAGE.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "as_integer_ratio")
+    assert callers == ["tuning.py"]
 
 
 def _resolves(dotted):

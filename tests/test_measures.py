@@ -117,10 +117,13 @@ def reference_factors(tones, t):
 
 
 def reference_views(tones, t):
-    """h' of each inversion view of the distinct tones, which a `Harmony`
-    checks (the lowest is 0): the lcm of the view's Fraction ratio
-    denominators times its lowest ratio."""
-    tones = Harmony(tuple(sorted(set(tones)))).semitones
+    """h' of each inversion view of the distinct tones, the lowest of which
+    must be 0: the lcm of the view's Fraction ratio denominators times its
+    lowest ratio."""
+    if min(tones) != 0:
+        raise UsageError(
+            f"periodicity measures need the lowest raw tone to be 0, got {tuple(tones)}")
+    tones = sorted(set(tones))
     views = []
     for anchor in tones:
         ratios = [ratio_for_semitone(t, n - anchor) for n in tones]
@@ -360,6 +363,17 @@ class TestEvaluateMeasure:
         with pytest.raises(UsageError, match="must be integers"):
             evaluate_measure(tones, name, JUST)
 
+    @pytest.mark.parametrize("tones", [(4, 7), (7, 4, 4), (-3, 0, 4), (-12,)], ids=str)
+    @pytest.mark.parametrize("name", ["rel_periodicity", "log_periodicity"])
+    def test_periodicity_needs_a_lowest_tone_of_zero(self, name, tones):
+        # the rule for raw tones and the tones given, not the Harmony API
+        with pytest.raises(UsageError) as caught:
+            evaluate_measure(tones, name, JUST)
+        assert str(caught.value) == (
+            f"periodicity measures need the lowest raw tone to be 0, got {tones}")
+        with pytest.raises(UsageError, match="from_offsets"):
+            Harmony(tones)
+
     @pytest.mark.parametrize("name, calls", [("similarity", 9), ("brefeld", 9),
                                              ("gradus", 7), ("omega", 7)])
     def test_looks_up_each_needed_offset_once(self, monkeypatch, name, calls):
@@ -370,7 +384,7 @@ class TestEvaluateMeasure:
             looked_up.append(n)
             return ratio_for_semitone(t, n)
 
-        monkeypatch.setattr(measures, "ratio_for_semitone", counting)
+        monkeypatch.setattr("harmonicity.tuning.ratio_for_semitone", counting)
         evaluate_measure((0, 2, 4, 5, 7, 9, 11), name, JUST)
         assert len(looked_up) == len(set(looked_up)) == calls
 
@@ -394,6 +408,7 @@ class TestEvaluateMeasure:
 
 # the measure whose values each measure's column pass also computes
 SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodicity",
+           "similarity": "brefeld", "brefeld": "similarity",
            "gradus": "omega", "omega": "gradus"}
 
 

@@ -1,6 +1,7 @@
 """Relative periodicity: harmonies, inversion averaging, worked values."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -14,10 +15,12 @@ from harmonicity import (
     UsageError,
     analyze,
     builtin_tuning,
+    enumerate_harmonies,
     fundamental_frequency,
     inversion_offsets,
     lcm_many,
     ratios_for,
+    rational_tuning,
     raw_periodicity,
 )
 
@@ -173,6 +176,42 @@ class TestAnalyze:
     def test_every_inversion_value_positive_rational(self, tones):
         result = analyze(Harmony(tones), JUST)
         assert all(isinstance(v, int) and v > 0 for v in result.inversion_h)
+
+
+VIEW_TUNINGS = {
+    **{name: builtin_tuning(name) for name in ("just", "pythagorean", "kirnberger3", "rational")},
+    "rational-0.001": rational_tuning(0.001),
+}
+
+# chords that reach past the octave, up to the whole MIDI span
+WIDE_CHORDS = [(0, 16, 19), (0, 12, 19, 24), (0, 7, 16, 24, 28, 63), (0, 1, 13, 50, 89, 126, 127)]
+
+# SHA-256 of the JSON pair [every averaged analysis as [raw_h, inversion_h],
+# every root-only analysis as [raw_periodicity, raw_h, inversion_h,
+# repr(mean_h), repr(mean_log_h)]] over the 2048 one-octave harmonies and
+# WIDE_CHORDS; taken before analyze and the rank kernel shared one h' per view
+VIEW_DIGESTS = {
+    "just": "402dd1bd15146f55d562bfc65c2ea092de5d4dbb4b2b23ce3d77cacd73b03f22",
+    "pythagorean": "1369d2ac0ff27f6100a5bc2a3efde6389e400af108d16a85d8a8fcdcc177b213",
+    "kirnberger3": "d48b39ea61191b55712db7286d81a7ffbbdf2d8dc49b9aa2650516c7364c0ef0",
+    "rational": "12b8edd5851c11d850a479d4f427d5a95e1d07a359eec683a04bd3aca3fb57b8",
+    "rational-0.001": "d49a2f174dbfb41604e1074e68ae9b497b8058941cb59296f6426f16039e310a",
+}
+
+
+class TestViewDigests:
+    """Every inversion view's h', not only the means built from them."""
+
+    @pytest.mark.parametrize("tuning_id", VIEW_DIGESTS)
+    def test_every_view_is_unchanged(self, tuning_id):
+        t = VIEW_TUNINGS[tuning_id]
+        harmonies = [*enumerate_harmonies(), *map(Harmony, WIDE_CHORDS)]
+        averaged = [[r.raw_h, r.inversion_h] for r in (analyze(h, t) for h in harmonies)]
+        roots = [[raw_periodicity(h, t), r.raw_h, r.inversion_h,
+                  repr(r.mean_h), repr(r.mean_log_h)]
+                 for h, r in ((h, analyze(h, t, average_inversions=False)) for h in harmonies)]
+        digest = hashlib.sha256(json.dumps([averaged, roots]).encode()).hexdigest()
+        assert digest == VIEW_DIGESTS[tuning_id]
 
 
 class TestFundamental:
