@@ -26,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -34,6 +34,7 @@ from .enumeration import rank_table
 from .empirics import (
     DATASET_IDS,
     REPRODUCTION_TARGETS,
+    CorrelationReport,
     correlate_measure,
     load_dataset,
     reproduce,
@@ -49,7 +50,7 @@ from .periodicity import (
     raw_periodicity,
 )
 from .rationals import approximate
-from .signal_oracle import ToneStack, detect_period
+from .signal_oracle import _DEFAULT_HORIZON, ToneStack, _check_float_domain, detect_period
 from .tuning import (
     BUILTIN_TUNING_NAMES,
     INTERVAL_NAMES,
@@ -125,33 +126,32 @@ def parse_pitch_spec(text: str) -> PitchSpec:
     if not tokens:
         raise ParseError("empty chord: give semitone offsets or pitch names")
 
-    def is_note(token: str) -> bool:
-        return token[:1].upper() in _NOTE_SEMITONES
-
-    for position, token in enumerate(tokens, start=1):
-        if not _reads_as_int(token) and not is_note(token):
+    offsets = [_reads_as_int(token) for token in tokens]
+    for position, (token, offset) in enumerate(zip(tokens, offsets), start=1):
+        if not offset and token[:1].upper() not in _NOTE_SEMITONES:
             raise ParseError(
                 f"token {position}: {token!r} is neither a semitone offset "
                 "nor a pitch name"
             )
 
-    names = not all(_reads_as_int(token) for token in tokens)
+    names = not all(offsets)
     if not names:
         try:
             pitches = [int(token) for token in tokens]
         except ValueError:  # past the digit limit of int()
             raise ParseError("a semitone offset has more digits than int() converts") from None
+    elif any(offsets):
+        position = offsets.index(True)
+        raise ParseError(
+            f"token {position + 1}: {tokens[position]!r} mixes offsets with pitch names"
+        )
     else:
-        for position, token in enumerate(tokens, start=1):
-            if _reads_as_int(token):
-                raise ParseError(
-                    f"token {position}: {token!r} mixes offsets with pitch names"
-                )
-        pitches = []
+        pitches, seen = [], set()
         for position, token in enumerate(tokens, start=1):
             note = _parse_note_token(token, position)
-            if note in pitches:
+            if note in seen:
                 raise ParseError(f"token {position}: duplicate pitch {token!r}")
+            seen.add(note)
             pitches.append(note)
 
     lowest = min(pitches)
@@ -303,22 +303,11 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
             f"{r.mode}: r = {r.r:.3f}, p = {r.p:.4f} (n = {r.n})"
             for r in reports
         ],
-        csv=lambda: ["dataset;measure;tuning;mode;n;r;p"] + [
+        csv=lambda: [";".join(f.name for f in fields(CorrelationReport))] + [
             f"{r.dataset};{r.measure};{r.tuning};{r.mode};{r.n};{r.r:.3f};{r.p:.4f}"
             for r in reports
         ],
-        payload=lambda: [
-            {
-                "dataset": r.dataset,
-                "measure": r.measure,
-                "tuning": r.tuning,
-                "mode": r.mode,
-                "n": r.n,
-                "r": r.r,
-                "p": r.p,
-            }
-            for r in reports
-        ],
+        payload=lambda: [asdict(r) for r in reports],
     )
     return 0
 
@@ -385,15 +374,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     f1 = _lowest_frequency(args, spec)
     raw_h = raw_periodicity(spec.harmony, t)
     predicted = raw_h / f1
-    # the scan runs in floats: past the normal range its lags and cosines
-    # turn to inf or nan and the verdict is meaningless
-    edges = [predicted, args.horizon / f1]
-    edges += [2.0 * math.pi * (f1 * float(r)) for r in ratios_for(spec.harmony, t)]
-    if not all(sys.float_info.min <= x < math.inf for x in edges):
-        raise UsageError(
-            f"a lowest tone of {f1:g} Hz puts the oracle's periods or angular "
-            "frequencies outside the finite normal float range"
-        )
+    # the stack checks its own frequencies; these two only the CLI knows
+    _check_float_domain(f1, (predicted, args.horizon / f1))
     stack = ToneStack.from_harmony(spec.harmony, t, f1)
     detected = detect_period(stack, search_horizon=args.horizon)
     if detected is None:
@@ -443,17 +425,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         payload=lambda: {
             "target": report.target,
             "passed": report.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "tolerance": c.tolerance,
-                    "kind": c.kind,
-                    "ok": c.ok,
-                }
-                for c in report.checks
-            ],
+            "checks": [{**asdict(c), "ok": c.ok} for c in report.checks],
         },
     )
     return 0 if report.passed else 1
@@ -598,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--horizon",
         type=positive_float,
-        default=130.0,
-        help="search horizon in lowest-tone periods (default 130)",
+        default=_DEFAULT_HORIZON,
+        help=f"search horizon in lowest-tone periods (default {_DEFAULT_HORIZON:g})",
     )
     p.add_argument(
         "--tolerance",

@@ -332,8 +332,8 @@ class CorrelationReport:
     measure: str
     tuning: str
     mode: str
-    r: float
     n: int
+    r: float
     p: float
 
 

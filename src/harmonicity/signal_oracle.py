@@ -17,6 +17,8 @@ common overtone is ``lcm(a_i)`` times the lowest frequency).
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +38,26 @@ __all__ = [
 #: cluster (h = 124416, 12 tones).
 _MAX_LATTICE_CELLS = 2_000_000
 
+#: Lowest-tone periods that :func:`detect_period` scans unless told otherwise.
+_DEFAULT_HORIZON = 130.0
+
+
+def _check_float_domain(f1: float, values: Iterable[float]) -> None:
+    """Raise :class:`UsageError` unless every value lies in the finite
+    normal float range: the scan runs in floats, and past that range its
+    lags and cosines turn to inf or nan and the verdict is meaningless.
+    ``f1`` is the lowest tone in Hz, the one number the message names."""
+    if not all(sys.float_info.min <= x < math.inf for x in values):
+        raise UsageError(
+            f"a lowest tone of {f1:g} Hz puts the oracle's periods or angular "
+            "frequencies outside the finite normal float range"
+        )
+
 
 @dataclass(frozen=True)
 class ToneStack:
-    """Pure tones given by their frequencies in Hz, strictly ascending."""
+    """Pure tones given by their frequencies in Hz, strictly ascending, with
+    angular frequencies in the finite normal float range."""
 
     frequencies: tuple[float, ...]
 
@@ -48,6 +66,7 @@ class ToneStack:
             raise UsageError("a tone stack needs at least one frequency")
         if self.frequencies[0] <= 0:
             raise UsageError(f"frequencies must be positive, got {self.frequencies[0]!r}")
+        _check_float_domain(self.frequencies[0], self.angular_frequencies)
         if any(b >= a for a, b in zip(self.frequencies[1:], self.frequencies)):
             raise UsageError(
                 f"frequencies must be strictly ascending, got {self.frequencies}"
@@ -82,7 +101,7 @@ def autocorrelation(s: ToneStack, tau: float) -> float:
     return 0.5 * math.fsum(math.cos(w * tau) for w in s.angular_frequencies)
 
 
-def detect_period(s: ToneStack, search_horizon: float = 130.0) -> float | None:
+def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> float | None:
     """Find the period of the stack from its autocorrelation alone.
 
     ``rho`` reaches ``k/2`` only where every cosine is 1, the lowest tone's
@@ -92,8 +111,8 @@ def detect_period(s: ToneStack, search_horizon: float = 130.0) -> float | None:
     ``1e-9 * k`` of the zero-lag value.  Returns ``None`` when no multiple
     qualifies, which signals irrational frequency ratios or a horizon
     shorter than the true period.  The scan costs one cosine per tone and
-    lag; a horizon whose lattice exceeds ``_MAX_LATTICE_CELLS`` raises
-    :class:`UsageError`.
+    lag; a horizon whose lattice exceeds ``_MAX_LATTICE_CELLS``, or whose
+    last lag leaves the finite normal float range, raises :class:`UsageError`.
 
     >>> detect_period(ToneStack((440.0, 550.0, 660.0))) == 4 / 440
     True
@@ -111,7 +130,9 @@ def detect_period(s: ToneStack, search_horizon: float = 130.0) -> float | None:
             f"oracle's budget of {_MAX_LATTICE_CELLS} lattice cells (horizon x tones); "
             f"the largest horizon for {k} tones is {max_horizon}"
         )
-    taus = s.lowest_period * np.arange(1, math.floor(search_horizon) + 1)
+    lags = math.floor(search_horizon)
+    _check_float_domain(s.frequencies[0], (s.lowest_period * lags,))
+    taus = s.lowest_period * np.arange(1, lags + 1)
     # the vectorized autocorrelation() at every lag of the lattice
     rho = 0.5 * np.cos(np.outer(taus, np.asarray(s.angular_frequencies))).sum(axis=1)
     hits = np.flatnonzero(rho >= 0.5 * k - 1e-9 * k)

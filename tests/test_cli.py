@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from importlib import resources
@@ -91,6 +92,14 @@ class TestParsePitchSpec:
     def test_empty(self):
         with pytest.raises(ParseError, match="empty chord"):
             parse_pitch_spec("  ")
+
+    def test_many_distinct_names_reach_the_span_check_quickly(self):
+        # duplicates are found in a set, not by a scan of the pitches so far
+        chord = " ".join(f"C{octave}" for octave in range(40_000))
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="chord spans 479988 semitones"):
+            parse_pitch_spec(chord)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestAnalyzeCommand:

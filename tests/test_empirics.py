@@ -234,6 +234,13 @@ class TestPearson:
         with pytest.raises(UsageError, match="zero-variance"):
             pearson([1, 1, 1], [1, 2, 3])
 
+    def test_underflowing_variance(self):
+        # the values differ, but their squared deviations underflow to 0
+        x = [0.0, 1e-200, 2e-200]
+        assert min(x) != max(x)
+        with pytest.raises(UsageError, match="zero-variance"):
+            pearson(x, [1.0, 2.0, 3.0])
+
     @settings(deadline=None)  # first example pays the scipy import
     @given(st.lists(
         st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),

@@ -1,7 +1,7 @@
 """Public surface: every exported name resolves, so deleting a function
 cannot leave a stale entry in an ``__all__``, every name the benchmark
-under ``perfbench/`` imports still exists, and one module turns ratios
-into integer pairs."""
+under ``perfbench/`` imports still exists, one module turns ratios into
+integer pairs, and one states the oracle's float domain."""
 
 import ast
 import importlib
@@ -54,6 +54,15 @@ def test_only_tuning_converts_ratios_to_integer_pairs():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                      and node.func.attr == "as_integer_ratio")
     assert callers == ["tuning.py"]
+
+
+def test_only_the_oracle_states_its_float_domain():
+    # the CLI and the library share signal_oracle._check_float_domain
+    holders = sorted({path.name for path in PACKAGE.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and "finite normal float range" in node.value})
+    assert holders == ["signal_oracle.py"]
 
 
 def _resolves(dotted):

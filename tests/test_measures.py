@@ -335,6 +335,10 @@ class TestEvaluateMeasure:
         assert evaluate_measure((0, 4, 7), "gradus", JUST) == 9.0
         assert evaluate_measure((0, 4, 7), "omega", JUST) == 4.0
 
+    def test_no_tones_is_undefined(self):
+        with pytest.raises(UndefinedMeasureError, match="a measure needs at least one tone"):
+            evaluate_measure((), "gradus", JUST)
+
     def test_duplicate_tones_are_allowed(self):
         # (0,0,7): pairwise intervals 1/1, 3/2, 3/2
         assert evaluate_measure((0, 0, 7), "similarity", JUST) == (

@@ -63,6 +63,10 @@ class TestHarmony:
         with pytest.raises(UsageError):
             Harmony.from_offsets([5, 5, 9])
 
+    def test_from_offsets_rejects_no_tones(self):
+        with pytest.raises(UsageError, match="a harmony needs at least one tone"):
+            Harmony.from_offsets([])
+
     def test_str(self):
         assert str(Harmony((0, 3, 9))) == "{0,3,9}"
         assert len(Harmony((0, 3, 9))) == 3

@@ -9,6 +9,8 @@ the closed form predicts must match that integral.
 
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +83,19 @@ class TestToneStack:
             ToneStack((440.0, 440.0))
         with pytest.raises(UsageError):
             ToneStack((550.0, 440.0))
+
+    @pytest.mark.parametrize("frequencies, lowest", [
+        ((1e308, 1.25e308), "1e+308"),  # angular frequencies overflow to inf
+        ((1e-310, 1.5e-310), "1e-310"),  # subnormal angular frequencies
+    ])
+    def test_rejects_frequencies_outside_float_range(self, frequencies, lowest):
+        # the same message the oracle command prints, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match=(
+                    f"^a lowest tone of {re.escape(lowest)} Hz puts the oracle's periods "
+                    "or angular frequencies outside the finite normal float range$")):
+                detect_period(ToneStack(frequencies))
 
     def test_from_harmony(self):
         stack = ToneStack.from_harmony(Harmony((0, 4, 7)), JUST, 440.0)
@@ -168,6 +183,15 @@ class TestDetectPeriod:
     def test_horizon_validation(self):
         with pytest.raises(UsageError):
             detect_period(ToneStack((440.0,)), search_horizon=0.5)
+
+    def test_last_lag_past_float_range_rejected(self):
+        # a valid stack whose 1000th lowest-tone period overflows to inf
+        stack = ToneStack((2e-306,))
+        assert detect_period(stack, search_horizon=1.0) == 5e305
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="a lowest tone of 2e-306 Hz .* float range"):
+                detect_period(stack, search_horizon=1000.0)
 
     def test_scalar_autocorrelation_confirms_detected_lag(self):
         # the scalar closed form referees the vectorized lattice scan: full
