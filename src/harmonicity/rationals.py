@@ -105,8 +105,9 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
     starts from the two integers bracketing ``x`` and walks mediants between
     them; same-direction runs are jumped in one step of size ``k``.
 
-    When ``x`` is an int or :class:`~fractions.Fraction` all comparisons are
-    exact; for float input, double precision is used throughout.
+    Every comparison is exact: ``x`` and ``p`` are compared as
+    ``Fraction(x)`` and ``Fraction(p)``, so a float is taken at its exact
+    binary value and the result never falls outside the interval.
 
     >>> approximate(2 ** (7 / 12), 0.01).result
     Fraction(3, 2)
@@ -118,7 +119,7 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
     if x <= 0:
         raise UsageError(f"approximate() needs x > 0, got {x!r}")
     # a subnormal x has no answer within the budget (its denominator would
-    # exceed 1/(2x) > 10**307), and (1-p)*x would underflow to 0
+    # exceed 1/(2x) > 10**307)
     if isinstance(x, float) and x < sys.float_info.min:
         raise UsageError(
             f"approximate() needs a normal float x (at least {sys.float_info.min!r}), "
@@ -127,23 +128,11 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
     if not 0 < p < 1:
         raise UsageError(f"approximate() needs a precision in (0, 1), got {p!r}")
 
-    if isinstance(x, float):
-        x_min: Real = (1.0 - p) * x
-        x_max: Real = (1.0 + p) * x
-
-        def value(f: Fraction) -> Real:
-            return f.numerator / f.denominator
-
-    else:
-        exact_x, exact_p = Fraction(x), Fraction(p)
-        x_min = (1 - exact_p) * exact_x
-        x_max = (1 + exact_p) * exact_x
-
-        def value(f: Fraction) -> Real:
-            return f
+    x_min = (1 - Fraction(p)) * Fraction(x)
+    x_max = (1 + Fraction(p)) * Fraction(x)
 
     def accepted(f: Fraction) -> bool:
-        return x_min <= value(f) <= x_max
+        return x_min <= f <= x_max
 
     left = Fraction(math.floor(x))
     right = left + 1
@@ -158,16 +147,16 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
         if accepted(step):
             return ApproximationTrace(x, p, tuple(mediants), step)
         # The next k plain steps all move the same way; take them at once.
-        downward = value(step) > x_max
+        # left < x_min <= x_max < right, so both divisors are positive, and
+        # the step lies outside the interval, so k >= 1.
+        downward = step > x_max
         if downward:
-            k = _run_length(
-                right.numerator - x_max * right.denominator,
-                x_max * left.denominator - left.numerator,
+            k = (right.numerator - x_max * right.denominator) // (
+                x_max * left.denominator - left.numerator
             )
         else:
-            k = _run_length(
-                x_min * left.denominator - left.numerator,
-                right.numerator - x_min * right.denominator,
+            k = (x_min * left.denominator - left.numerator) // (
+                right.numerator - x_min * right.denominator
             )
         if len(mediants) + k - 1 > _MAX_MEDIANTS:
             break
@@ -190,10 +179,3 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
         f"approximate() would record more than {_MAX_MEDIANTS} mediants at "
         f"precision {p}; {advice}"
     )
-
-
-def _run_length(numerator: Real, denominator: Real) -> int:
-    """Number of same-direction mediant steps to take in one jump."""
-    if denominator <= 0:  # bound touching the interval edge in float rounding
-        return 1
-    return max(1, math.floor(numerator / denominator))

@@ -20,6 +20,7 @@ import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class ToneStack:
             raise UsageError(f"reference frequency must be positive, got {f1!r}")
         return cls(tuple(f1 * float(r) for r in ratios_for(h, t)))
 
-    @property
+    @cached_property
     def angular_frequencies(self) -> tuple[float, ...]:
         return tuple(2.0 * math.pi * f for f in self.frequencies)
 

@@ -125,6 +125,13 @@ class TestApproximate:
         trace = approximate(Fraction(355, 113), Fraction(1, 10**6))
         assert trace.result == Fraction(355, 113)
 
+    def test_float_input_compared_exactly(self):
+        # 44/37 lies 9.5e-17*x below (1-p)*x, a gap double rounding hides
+        x, p = 2 ** (3 / 12), 1.5073752339334055e-05
+        result = approximate(x, p).result
+        assert result == Fraction(905, 761)
+        assert (1 - Fraction(p)) * Fraction(x) <= result <= (1 + Fraction(p)) * Fraction(x)
+
     def test_trace_is_mediant_chain(self):
         trace = approximate(2 ** (7 / 12), 0.001)
         assert isinstance(trace, ApproximationTrace)

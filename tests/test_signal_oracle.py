@@ -113,6 +113,14 @@ class TestToneStack:
             2.0 * math.pi * 330.0,
         )
 
+    def test_angular_frequencies_computed_once(self):
+        stack = ToneStack((220.0, 330.0))
+        assert stack.angular_frequencies is stack.angular_frequencies
+        # the cache leaves the dataclass's identity alone
+        assert stack == ToneStack((220.0, 330.0))
+        assert hash(stack) == hash(ToneStack((220.0, 330.0)))
+        assert repr(stack) == "ToneStack(frequencies=(220.0, 330.0))"
+
 
 class TestAutocorrelation:
     def test_zero_lag_is_half_tone_count(self):

@@ -1,0 +1,55 @@
+"""Work budgets: counts of the calls each path makes, which unlike timings
+do not drift with the machine.
+
+Each bound is the count the path makes today.  A regression fails; a change
+that does less work passes, and tightens the bound.
+"""
+
+import pytest
+
+from harmonicity import (
+    REPRODUCTION_TARGETS,
+    analyze,
+    builtin_tuning,
+    enumerate_harmonies,
+    rank_table,
+    reproduce,
+)
+from harmonicity import empirics, enumeration, measures, tuning
+
+JUST = builtin_tuning("just")
+
+
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper and return its list of calls."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_analyze_octave_ratio_lookups(monkeypatch):
+    calls = counted(monkeypatch, tuning, "ratio_for_semitone")
+    for h in enumerate_harmonies():
+        analyze(h, JUST)
+    assert len(calls) <= 92_160, "analyze of the 2048 one-octave harmonies under just"
+
+
+@pytest.mark.parametrize("target, budget", zip(REPRODUCTION_TARGETS, (52, 52, 171, 28, 130, 91)))
+def test_reproduce_measure_evaluations(monkeypatch, target, budget):
+    calls = counted(monkeypatch, empirics, "evaluate_measure")
+    reproduce(target)
+    assert len(calls) <= budget, f"evaluate_measure calls of reproduce {target}"
+
+
+def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    calls = counted(monkeypatch, measures, "prime_factor_multiset")
+    for size in range(1, 13):
+        rank_table(JUST, "gradus", size)
+    assert len(calls) <= 262, "prime_factor_multiset calls of the 12 cold gradus columns under just"
