@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -207,14 +208,12 @@ def rank_with_ties(values: Sequence[float]) -> list[float]:
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     start = 0
-    while start < len(order):
-        stop = start
-        while stop + 1 < len(order) and values[order[stop + 1]] == values[order[start]]:
-            stop += 1
-        shared = (start + stop) / 2 + 1
-        for position in range(start, stop + 1):
-            ranks[order[position]] = shared
-        start = stop + 1
+    for _, group in groupby(order, key=values.__getitem__):
+        tied = list(group)
+        shared = start + (len(tied) + 1) / 2
+        for index in tied:
+            ranks[index] = shared
+        start += len(tied)
     return ranks
 
 
@@ -619,37 +618,25 @@ def reproduce(target: str, tuning: str | None = None) -> ReproductionReport:
             )
 
     for golden in golden_rows:
+        # (statistic, published, computed, tolerance); an external row's r
+        # is displayed only, and every external row has mode ranks
         if golden.kind == "external":
+            statistics = [("r", golden.r, None, _TOLERANCE_R)]
+        else:
+            assert golden.measure is not None
+            t = builtin_tuning(golden.tuning) if golden.tuning else None
+            report = correlate_measure(dataset, golden.measure, t, golden.mode)
+            statistics = [("r", golden.r, report.r, _TOLERANCE_R),
+                          ("p", golden.p, report.p, _TOLERANCE_P)]
+        mode_tag = "" if golden.mode == "ranks" else ", values"
+        for statistic, expected, computed, tolerance in statistics:
             checks.append(
                 ReproductionCheck(
-                    name=f"r[{golden.label}]",
-                    expected=golden.r,
-                    computed=None,
-                    tolerance=_TOLERANCE_R,
-                    kind="external",
+                    name=f"{statistic}[{golden.label}{mode_tag}]",
+                    expected=expected,
+                    computed=computed,
+                    tolerance=tolerance,
+                    kind=golden.kind,
                 )
             )
-            continue
-        assert golden.measure is not None
-        t = builtin_tuning(golden.tuning) if golden.tuning else None
-        report = correlate_measure(dataset, golden.measure, t, golden.mode)
-        mode_tag = "" if golden.mode == "ranks" else ", values"
-        checks.append(
-            ReproductionCheck(
-                name=f"r[{golden.label}{mode_tag}]",
-                expected=golden.r,
-                computed=report.r,
-                tolerance=_TOLERANCE_R,
-                kind=golden.kind,
-            )
-        )
-        checks.append(
-            ReproductionCheck(
-                name=f"p[{golden.label}{mode_tag}]",
-                expected=golden.p,
-                computed=report.p,
-                tolerance=_TOLERANCE_P,
-                kind=golden.kind,
-            )
-        )
     return ReproductionReport(target=target, checks=tuple(checks))

@@ -72,11 +72,9 @@ class Harmony:
         """Build a harmony from arbitrary integer pitches, shifting them so
         the lowest becomes 0.  Duplicate pitches are rejected."""
         pitches = list(offsets)
-        if not pitches:
-            raise UsageError("a harmony needs at least one tone")
         if len(set(pitches)) != len(pitches):
             raise UsageError(f"duplicate tones in {pitches}")
-        low = min(pitches)
+        low = min(pitches, default=0)
         return cls(tuple(sorted(p - low for p in pitches)))
 
     def __len__(self) -> int:

@@ -17,6 +17,7 @@ from harmonicity import (
     TuningTable,
     UndefinedMeasureError,
     UsageError,
+    analyze,
     builtin_tuning,
     enumerate_harmonies,
     evaluate_measure,
@@ -323,6 +324,40 @@ class TestRankedColumn:
         rows = rank_table(JUST, "gradus", 6).rows
         assert {id(h) for h in enumerate_harmonies(6)} == {id(row.harmony) for row in rows}
         assert not hasattr(rows[0], "__dict__")
+
+
+class TestExactTieCensus:
+    """The ``log_periodicity`` rows of cardinalities 2..12 whose exact
+    product of h' equals their successor's.  The float mean of log2 h' can
+    tell such rows apart in the last place, and then rounding, not the
+    lexicographic tie-break, orders them.  This records today's order: a
+    change to an exact sort key changes these numbers."""
+
+    @pytest.mark.parametrize("name, ties, split, reverse, moved", [
+        ("just", 484, 28, 19, 50),
+        ("rational", 430, 32, 22, 51),
+        ("pythagorean", 874, 50, 34, 89),
+        ("kirnberger3", 648, 62, 53, 129),
+    ])
+    def test_census(self, name, ties, split, reverse, moved):
+        t = builtin_tuning(name)
+        counts = {"ties": 0, "split": 0, "reverse": 0, "moved": 0}
+        for size in range(2, 13):
+            rows = rank_table(t, "log_periodicity", size).rows
+            products = [math.prod(analyze(row.harmony, t).inversion_h) for row in rows]
+            for (a, product_a), (b, product_b) in zip(zip(rows, products),
+                                                      zip(rows[1:], products[1:])):
+                if product_a == product_b:
+                    counts["ties"] += 1
+                    counts["split"] += a.value != b.value
+                    counts["reverse"] += a.harmony.semitones > b.harmony.semitones
+            exact = sorted(range(len(rows)),
+                           key=lambda i: (products[i], rows[i].harmony.semitones))
+            counts["moved"] += sum(i != j for i, j in enumerate(exact))
+        assert counts["ties"] == ties, f"adjacent exact ties under {name}"
+        assert counts["split"] == split, f"exact ties split by rounding under {name}"
+        assert counts["reverse"] == reverse, f"exact ties in reverse lexicographic order under {name}"
+        assert counts["moved"] == moved, f"rows that move under an exact key under {name}"
 
 
 class TestTopShareCount:

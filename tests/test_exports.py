@@ -1,7 +1,8 @@
 """Public surface: every exported name resolves, so deleting a function
 cannot leave a stale entry in an ``__all__``, every name the benchmark
 under ``perfbench/`` imports still exists, one module turns ratios into
-integer pairs, and one states the oracle's float domain."""
+integer pairs, one states the oracle's float domain, and ``reproduce``
+builds its checks in two places."""
 
 import ast
 import importlib
@@ -63,6 +64,15 @@ def test_only_the_oracle_states_its_float_domain():
                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
                      and "finite normal float range" in node.value})
     assert holders == ["signal_oracle.py"]
+
+
+def test_reproduce_builds_checks_in_two_places():
+    # one construction for golden cells, one for golden-row statistics
+    tree = ast.parse((PACKAGE / "empirics.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "ReproductionCheck"]
+    assert len(calls) <= 2, f"ReproductionCheck( is called on lines {calls} of empirics.py"
 
 
 def _resolves(dotted):

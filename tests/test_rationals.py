@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonicity import (
@@ -16,7 +16,7 @@ from harmonicity import (
 )
 
 
-def brute_force_candidates(x: float, p: float) -> tuple[int, int, int]:
+def brute_force_candidates(x: Fraction, p: Fraction) -> tuple[int, int, int]:
     """(lowest numerator, highest numerator, denominator) of the fractions
     with the smallest possible denominator inside [(1-p)x, (1+p)x] — by
     exhaustive scan, independent of the search under test."""
@@ -156,10 +156,13 @@ class TestApproximate:
         st.floats(0.1, 20.0, allow_nan=False, allow_infinity=False),
         st.floats(0.001, 0.05),
     )
+    # float bounds would admit 7/5, which lies just outside the exact interval
+    @example(2 ** (6 / 12), 0.010050506338833533)
     def test_minimal_denominator_property(self, x, p):
         result = approximate(x, p).result
-        lo, hi = (1 - p) * x, (1 + p) * x
-        assert lo <= float(result) <= hi
-        num_lo, num_hi, den = brute_force_candidates(x, p)
+        exact_x, exact_p = Fraction(x), Fraction(p)
+        lo, hi = (1 - exact_p) * exact_x, (1 + exact_p) * exact_x
+        assert lo <= result <= hi
+        num_lo, num_hi, den = brute_force_candidates(exact_x, exact_p)
         assert result.denominator == den
         assert num_lo <= result.numerator <= num_hi

@@ -8,10 +8,14 @@ that does less work passes, and tightens the bound.
 import pytest
 
 from harmonicity import (
+    DATASET_IDS,
+    MEASURES,
     REPRODUCTION_TARGETS,
     analyze,
     builtin_tuning,
+    correlate_measure,
     enumerate_harmonies,
+    load_dataset,
     rank_table,
     reproduce,
 )
@@ -45,6 +49,24 @@ def test_reproduce_measure_evaluations(monkeypatch, target, budget):
     calls = counted(monkeypatch, empirics, "evaluate_measure")
     reproduce(target)
     assert len(calls) <= budget, f"evaluate_measure calls of reproduce {target}"
+
+
+@pytest.mark.parametrize("target, budget",
+                         zip(REPRODUCTION_TARGETS, (124, 306, 1194, 1372, 370, 579)))
+def test_reproduce_ratio_lookups(monkeypatch, target, budget):
+    calls = counted(monkeypatch, tuning, "ratio_for_semitone")
+    reproduce(target)
+    assert len(calls) <= budget, f"ratio_for_semitone calls of reproduce {target}"
+
+
+def test_correlate_ratio_lookups(monkeypatch):
+    rational = builtin_tuning("rational")
+    datasets = [load_dataset(dataset_id) for dataset_id in DATASET_IDS]
+    calls = counted(monkeypatch, tuning, "ratio_for_semitone")
+    for dataset in datasets:
+        for measure in MEASURES:
+            correlate_measure(dataset, measure, rational)
+    assert len(calls) <= 2044, "ratio_for_semitone calls of correlate over 4 datasets x 6 measures"
 
 
 def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
