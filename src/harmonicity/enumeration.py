@@ -8,7 +8,8 @@ orientation, breaking ties lexicographically by semitone tuple so output
 is byte-identical across runs.  A category is evaluated on ints, from one
 ``(numerator, denominator)`` table of the tuning, by the measures' column
 kernel, which shares ``evaluate_measure``'s definitions and equals it by
-``repr``.  Every column one kernel pass returns is ranked and stored.
+``repr``, and a cold whole-octave column hands it every category not yet
+stored at once.  Every column one kernel pass returns is ranked and stored.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class RankTable:
 
 # One ranked column per (tuning, measure, cardinality), most consonant
 # first.  A category's columns are evaluated, sorted and numbered on first
-# use; the whole-octave column (cardinality None) is merged from the 12
-# category columns and shares their rows.
+# use; the whole-octave column (cardinality None) evaluates every category
+# not yet stored in one kernel call, then is merged from the 12 category
+# columns and shares their rows.
 _COLUMNS: dict[tuple[TuningTable, str, int | None], tuple[RankedRow, ...]] = {}
 
 
@@ -103,24 +105,27 @@ def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[Rank
     rows = _COLUMNS.get(key)
     if rows is not None:
         return rows
-    # (orientation * value, semitones) is a total order: tuples are unique
-    if cardinality is None:
-        orientation = MEASURES[measure].orientation
-        # the same key as each category's, so the merge keeps their ranks
-        _COLUMNS[key] = tuple(sorted(
-            chain.from_iterable(_column(t, measure, size) for size in range(1, 13)),
-            key=lambda row: (orientation * row.value, row.harmony.semitones),
-        ))
-    else:
-        harmonies = _category(cardinality)
+    sizes = range(1, 13) if cardinality is None else (cardinality,)
+    missing = [size for size in sizes if (t, measure, size) not in _COLUMNS]
+    if missing:
+        harmonies = [h for size in missing for h in _category(size)]
         for name, values in _column_values(harmonies, measure, t).items():
-            orientation = MEASURES[name].orientation
-            evaluated = sorted(
-                zip(values, harmonies),
-                key=lambda pair: (orientation * pair[0], pair[1].semitones),
-            )
-            _COLUMNS[t, name, cardinality] = tuple(
-                RankedRow(rank, h, value) for rank, (value, h) in enumerate(evaluated, start=1))
+            descending = MEASURES[name].orientation < 0
+            start = 0
+            for size in missing:
+                stop = start + len(_category(size))
+                # a category is in lexicographic order and the sort is stable,
+                # so ties stay in that order, reversed or not
+                order = sorted(range(start, stop), key=values.__getitem__, reverse=descending)
+                _COLUMNS[t, name, size] = tuple(RankedRow(rank, harmonies[i], values[i])
+                                                for rank, i in enumerate(order, start=1))
+                start = stop
+    if cardinality is None:
+        # the same order as each category's, so the merge keeps their ranks
+        merged = sorted(chain.from_iterable(_COLUMNS[t, measure, size] for size in sizes),
+                        key=lambda row: row.harmony.semitones)
+        merged.sort(key=lambda row: row.value, reverse=MEASURES[measure].orientation < 0)
+        _COLUMNS[key] = tuple(merged)
     return _COLUMNS[key]
 
 

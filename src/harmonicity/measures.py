@@ -24,9 +24,11 @@ Every measure has one integer definition on ``(numerator, denominator)``
 pairs: :func:`evaluate_measure` looks up what its tone set needs (the
 periodicity pair per view, through :func:`~harmonicity.periodicity.analyze`),
 and ``_column_values``, behind :mod:`harmonicity.enumeration`, offsets
--11..11 once per pass, calling the same h' on per-anchor rows of that table.
-Every pass yields a pair: both periodicity means, similarity and brefeld, or
-gradus and omega.
+-11..11 once per pass.  It builds each harmony's lcms from those of its
+parent, the harmony without its highest tone: the 12 per-anchor lcms of
+denominators, which the same h' rescales into the views, or the lcms of
+numerators and denominators behind the ratio product.  Every pass yields a
+pair: both periodicity means, similarity and brefeld, or gradus and omega.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import UndefinedMeasureError, UsageError
-from .periodicity import AnalysisResult, Harmony, _means, _view_h, analyze
+from .periodicity import AnalysisResult, Harmony, _h_prime, _means, analyze
 from .rationals import prime_factor_multiset
 from .tuning import TuningTable, _ratio_pairs
 
@@ -169,25 +171,48 @@ def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> floa
     return float(compute(tones, t))
 
 
+def _prefix_states(tones: Sequence[tuple[int, ...]], empty, extend: Callable) -> dict:
+    """``{s: state}`` for every tone set in ``tones`` and its prefixes, where
+    ``s``'s state is ``extend(state of s[:-1], s[-1])`` and ``()``'s is
+    ``empty``; each tone set extends its longest prefix already built."""
+    states = {(): empty}
+    for s in tones:
+        built = len(s) - 1
+        while (state := states.get(s[:built])) is None:
+            built -= 1
+        for i in range(built, len(s)):
+            state = states[s[:i + 1]] = extend(state, s[i])
+    return states
+
+
 def _column_values(harmonies: Sequence[Harmony], measure: str,
                    t: TuningTable) -> dict[str, list[float]]:
     """``{name: [evaluate_measure(h.semitones, name, t) for h in harmonies]}``
     for ``measure`` and the sibling its pass also yields, equal by ``repr``:
     both periodicity means from one set of integer views, similarity and
     brefeld from one distance list per harmony, gradus and omega from one
-    factorization per distinct ratio product, all from one table of pairs."""
+    factorization per distinct ratio product, all from one table of pairs.
+    The lcms behind h' and the ratio product extend those of the harmony
+    without its highest tone."""
     tones = [h.semitones for h in harmonies]
     if measure in ("similarity", "brefeld"):
         distances = list(map(_distances, tones))  # a lone tone raises before any lookup
     pairs = _ratio_pairs(t, range(-11, 12))
     if measure in ("rel_periodicity", "log_periodicity"):
-        # the view from tone m reads tone n at offset n - m
-        rows = [{n: pairs[n - m] for n in range(12)} for m in range(12)]
-        means = [_means([_view_h(rows[m], s) for m in s]) for s in tones]
+        # the view from tone m reads tone n at offset n - m, its lowest tone 0 at -m
+        dens = [[pairs[n - m][1] for m in range(12)] for n in range(12)]
+        lowest = [pairs[-m] for m in range(12)]
+        # per anchor m, the lcm of den(n - m) over the harmony's tones n
+        lcms = _prefix_states(tones, [1] * 12,
+                              lambda parent, n: list(map(math.lcm, parent, dens[n])))
+        means = [_means([_h_prime(lcms[s][m], lowest[m]) for m in s]) for s in tones]
         return {"rel_periodicity": [rel for rel, _ in means],
                 "log_periodicity": [log for _, log in means]}
     if measure in ("gradus", "omega"):
-        products = [_ratio_product(pairs, s) for s in tones]
+        # (lcm of numerators, lcm of denominators) of the lowest-tone ratios
+        lcms = _prefix_states(tones, (1, 1), lambda parent, n: (
+            math.lcm(parent[0], pairs[n][0]), math.lcm(parent[1], pairs[n][1])))
+        products = [num * den for num, den in map(lcms.__getitem__, tones)]
         # few products recur (87 distinct of 2048 under just): factor each once
         factors = {product: prime_factor_multiset(product) for product in set(products)}
         gradus = {product: float(_gradus_of(f)) for product, f in factors.items()}

@@ -13,8 +13,8 @@ arithmetic mean and the mean of ``log2`` (the log of the geometric mean)
 are reported; values stay exact until the final averaging step.
 
 h' of one view and both means are defined once, on integer ratio pairs:
-:func:`analyze` looks up each view's pairs, and the rank kernel in
-:mod:`harmonicity.measures` calls the same h' on rows of one pair table.
+:func:`analyze` takes each view's lcm of denominators from its pairs, and
+the rank kernel in :mod:`harmonicity.measures` extends its parent's lcms.
 """
 
 from __future__ import annotations
@@ -110,13 +110,18 @@ def inversion_offsets(h: Harmony, i: int) -> tuple[int, ...]:
     return tuple(n - anchor for n in h.semitones)
 
 
+def _h_prime(lcm_dens: int, lowest: tuple[int, int]) -> int:
+    """h' of one view: the lcm of its denominators times its lowest ratio
+    ``a / b`` (``b`` divides the lcm); the root view's h' is the lcm."""
+    a, b = lowest
+    return lcm_dens // b * a
+
+
 def _view_h(row: Mapping[int, tuple[int, int]], tones: Sequence[int]) -> int:
     """h' of one view: ``row[n]`` is tone ``n``'s ratio ``(a, b)`` to the
-    view's reference tone, and h' the lcm ``L`` of the ``b`` times the lowest
-    ratio, at the lowest tone ``tones[0]`` since ratios increase with the
-    semitone.  For the root view (lowest ratio 1/1) h' is ``L``."""
-    a, b = row[tones[0]]
-    return math.lcm(*[row[n][1] for n in tones]) // b * a
+    view's reference tone; the lowest ratio is the lowest tone's,
+    ``tones[0]``, since ratios increase with the semitone."""
+    return _h_prime(math.lcm(*[row[n][1] for n in tones]), row[tones[0]])
 
 
 def _means(views: Sequence[int]) -> tuple[float, float]:

@@ -260,6 +260,35 @@ class TestRankedColumn:
         assert rank_table(tuning, sibling, cardinality) == shared
         assert calls
 
+    @pytest.mark.parametrize("tuning", [JUST, builtin_tuning("rational")], ids=["just", "rational"])
+    @pytest.mark.parametrize("name", ["rel_periodicity", "log_periodicity", "gradus", "omega"])
+    def test_octave_column_is_equal_whatever_the_store_held(self, monkeypatch, name, tuning):
+        def octave(stored_first):
+            _empty_store(monkeypatch)
+            for measure, size in stored_first:
+                rank_table(tuning, measure, size)
+            return rank_table(tuning, name).rows
+
+        fresh = octave(())
+        orientation = MEASURES[name].orientation
+        keys = [(orientation * row.value, row.harmony.semitones) for row in fresh]
+        assert keys == sorted(keys) and len(keys) == 2048
+        # some categories from the sibling's pass, then every category
+        assert octave([(SIBLING[name], 3), (SIBLING[name], 7)]) == fresh
+        assert octave([(name, size) for size in range(1, 13)]) == fresh
+
+    @pytest.mark.parametrize("name", ["similarity", "brefeld"])
+    def test_failed_full_table_stores_nothing(self, monkeypatch, name):
+        _empty_store(monkeypatch)
+        with pytest.raises(UndefinedMeasureError):
+            rank_table(JUST, name)
+        assert enumeration._COLUMNS == {}
+        rank_table(JUST, name, 3)
+        stored = dict(enumeration._COLUMNS)
+        with pytest.raises(UndefinedMeasureError):
+            rank_table(JUST, name)
+        assert enumeration._COLUMNS == stored
+
     def test_failed_full_table_leaves_categories_correct(self, monkeypatch):
         _empty_store(monkeypatch)
         with pytest.raises(UndefinedMeasureError):

@@ -431,8 +431,9 @@ OCTAVE_DIGESTS = {
 
 class TestColumnValues:
     """The column kernel behind the ranked columns against
-    ``evaluate_measure`` on every one-octave harmony, and the values of
-    both against digests taken from the former Fraction code."""
+    ``evaluate_measure`` on every one-octave harmony, fed the whole octave
+    and each category alone, and the values of both against digests taken
+    from the former Fraction code."""
 
     @pytest.mark.parametrize("tuning_id", OCTAVE_DIGESTS)
     def test_equals_evaluate_measure_by_repr(self, tuning_id):
@@ -454,6 +455,14 @@ class TestColumnValues:
             # every column the pass returns, its sibling's included
             for returned, column in columns.items():
                 assert list(map(repr, column)) == expected[returned], (name, returned)
+        # each category alone, without the shorter harmonies its lcms extend
+        reprs = {name: dict(zip(scored(name), expected[name])) for name in MEASURES}
+        for name in ("rel_periodicity", "similarity", "gradus"):
+            for size in range(2 if name == "similarity" else 1, 13):
+                category = [h for h in harmonies if len(h) == size]
+                for returned, column in measures._column_values(category, name, tuning).items():
+                    assert list(map(repr, column)) == [reprs[returned][h] for h in category], (
+                        returned, size)
 
 
 # SHA-256 of the JSON list of `evaluate_measure` reprs of one tone set, every

@@ -75,3 +75,30 @@ def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
     for size in range(1, 13):
         rank_table(JUST, "gradus", size)
     assert len(calls) <= 262, "prime_factor_multiset calls of the 12 cold gradus columns under just"
+
+
+def test_cold_octave_column_is_one_kernel_call(monkeypatch):
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    calls = counted(monkeypatch, enumeration, "_column_values")
+    rank_table(JUST, "log_periodicity")
+    assert [len(harmonies) for harmonies, _, _ in calls] == [2048], (
+        "one _column_values call over the 2048 harmonies of a cold whole-octave column")
+
+
+@pytest.mark.parametrize("cardinality, budget", [(3, 66), (12, 12)])
+def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, budget):
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    built = []
+    prefix_states = measures._prefix_states
+
+    def counting(tones, empty, extend):
+        def extending(*args):
+            built.append(args)
+            return extend(*args)
+
+        return prefix_states(tones, empty, extending)
+
+    monkeypatch.setattr(measures, "_prefix_states", counting)
+    rank_table(JUST, "gradus", cardinality)
+    assert 0 < len(built) <= budget, (
+        f"prefix states built for the cold gradus column of cardinality {cardinality} under just")
