@@ -10,15 +10,17 @@ is byte-identical across runs.  A category is evaluated on ints, from one
 kernel, which shares ``evaluate_measure``'s definitions and equals it by
 ``repr``, and a cold whole-octave column hands it every category not yet
 stored at once.  Every column one kernel pass returns is ranked and stored.
+A row is a :class:`RankedRow` named tuple, built from ``(rank, harmony,
+value)`` by one ``map`` per category, with no Python call per row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, combinations
-from typing import Iterator
+from functools import cache, partial
+from itertools import chain, combinations, count
+from typing import Iterator, NamedTuple
 
 from .errors import UsageError
 from .measures import MEASURES, _column_values, lookup_measure
@@ -66,9 +68,12 @@ def _category(size: int) -> tuple[Harmony, ...]:
     return tuple(Harmony((0,) + rest) for rest in combinations(range(1, 12), size - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class RankedRow:
-    """One evaluated harmony: ordinal rank within its tone-count category."""
+class RankedRow(NamedTuple):
+    """One evaluated harmony: ordinal rank within its tone-count category.
+
+    A row is a named tuple, so it also equals and unpacks into the plain
+    tuple ``(rank, harmony, value)``.
+    """
 
     rank: int
     harmony: Harmony
@@ -99,6 +104,9 @@ class RankTable:
 # columns and shares their rows.
 _COLUMNS: dict[tuple[TuningTable, str, int | None], tuple[RankedRow, ...]] = {}
 
+# a row from its ``(rank, harmony, value)`` tuple, with no Python call per row
+_row = partial(tuple.__new__, RankedRow)
+
 
 def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[RankedRow, ...]:
     key = (t, measure, cardinality)
@@ -117,15 +125,15 @@ def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[Rank
                 # a category is in lexicographic order and the sort is stable,
                 # so ties stay in that order, reversed or not
                 order = sorted(range(start, stop), key=values.__getitem__, reverse=descending)
-                _COLUMNS[t, name, size] = tuple(RankedRow(rank, harmonies[i], values[i])
-                                                for rank, i in enumerate(order, start=1))
+                _COLUMNS[t, name, size] = tuple(map(_row, zip(
+                    count(1), map(harmonies.__getitem__, order), map(values.__getitem__, order))))
                 start = stop
     if cardinality is None:
         # the same order as each category's, so the merge keeps their ranks
-        merged = sorted(chain.from_iterable(_COLUMNS[t, measure, size] for size in sizes),
-                        key=lambda row: row.harmony.semitones)
-        merged.sort(key=lambda row: row.value, reverse=MEASURES[measure].orientation < 0)
-        _COLUMNS[key] = tuple(merged)
+        orientation = MEASURES[measure].orientation
+        _COLUMNS[key] = tuple(sorted(
+            chain.from_iterable(_COLUMNS[t, measure, size] for size in sizes),
+            key=lambda row: (orientation * row.value, row.harmony.semitones)))
     return _COLUMNS[key]
 
 
@@ -143,6 +151,10 @@ def rank_table(
     per-category ranks attached.  ``top`` truncates to the first rows after
     sorting.  Each ranked column is computed once per process and later
     queries with the same tuning and measure read it.
+
+    >>> from .tuning import builtin_tuning
+    >>> rank_table(builtin_tuning("just"), "gradus", 2).rows[0]
+    RankedRow(rank=1, harmony=Harmony(semitones=(0, 7)), value=4.0)
     """
     lookup_measure(measure)
     if top is not None and not isinstance(top, int):

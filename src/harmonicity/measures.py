@@ -23,18 +23,20 @@ reproduces the reference similarity tables.
 Every measure has one integer definition on ``(numerator, denominator)``
 pairs: :func:`evaluate_measure` looks up what its tone set needs (the
 periodicity pair per view, through :func:`~harmonicity.periodicity.analyze`),
-and ``_column_values``, behind :mod:`harmonicity.enumeration`, offsets
--11..11 once per pass.  It builds each harmony's lcms from those of its
-parent, the harmony without its highest tone: the 12 per-anchor lcms of
-denominators, which the same h' rescales into the views, or the lcms of
-numerators and denominators behind the ratio product.  Every pass yields a
-pair: both periodicity means, similarity and brefeld, or gradus and omega.
+and ``_column_values``, behind :mod:`harmonicity.enumeration`, reads offsets
+-11..11 from one pair table per tuning, looked up by its first pass.  It
+builds each harmony's lcms from those of its parent, the harmony without
+its highest tone: the 12 per-anchor lcms of denominators, which the same h'
+rescales into the views, or the lcms of numerators and denominators behind
+the ratio product.  Every pass yields a pair: both periodicity means,
+similarity and brefeld, or gradus and omega.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -185,19 +187,27 @@ def _prefix_states(tones: Sequence[tuple[int, ...]], empty, extend: Callable) ->
     return states
 
 
+@cache
+def _octave_pairs(t: TuningTable) -> dict[int, tuple[int, int]]:
+    """The pairs of offsets -11..11, every one-octave interval up or down,
+    looked up once per tuning for every column pass.  Like the ranked
+    columns it is kept for the life of the process; callers only read it."""
+    return _ratio_pairs(t, range(-11, 12))
+
+
 def _column_values(harmonies: Sequence[Harmony], measure: str,
                    t: TuningTable) -> dict[str, list[float]]:
     """``{name: [evaluate_measure(h.semitones, name, t) for h in harmonies]}``
     for ``measure`` and the sibling its pass also yields, equal by ``repr``:
     both periodicity means from one set of integer views, similarity and
     brefeld from one distance list per harmony, gradus and omega from one
-    factorization per distinct ratio product, all from one table of pairs.
+    factorization per distinct ratio product, all from the tuning's pair table.
     The lcms behind h' and the ratio product extend those of the harmony
     without its highest tone."""
     tones = [h.semitones for h in harmonies]
     if measure in ("similarity", "brefeld"):
         distances = list(map(_distances, tones))  # a lone tone raises before any lookup
-    pairs = _ratio_pairs(t, range(-11, 12))
+    pairs = _octave_pairs(t)
     if measure in ("rel_periodicity", "log_periodicity"):
         # the view from tone m reads tone n at offset n - m, its lowest tone 0 at -m
         dens = [[pairs[n - m][1] for m in range(12)] for n in range(12)]
@@ -205,7 +215,8 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
         # per anchor m, the lcm of den(n - m) over the harmony's tones n
         lcms = _prefix_states(tones, [1] * 12,
                               lambda parent, n: list(map(math.lcm, parent, dens[n])))
-        means = [_means([_h_prime(lcms[s][m], lowest[m]) for m in s]) for s in tones]
+        means = [_means([_h_prime(state[m], lowest[m]) for m in s])
+                 for s, state in zip(tones, map(lcms.__getitem__, tones))]
         return {"rel_periodicity": [rel for rel, _ in means],
                 "log_periodicity": [log for _, log in means]}
     if measure in ("gradus", "omega"):

@@ -8,12 +8,14 @@ are binomial coefficients by construction.
 import json
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from harmonicity import (
     MEASURES,
     Harmony,
+    RankedRow,
     TuningTable,
     UndefinedMeasureError,
     UsageError,
@@ -46,8 +48,9 @@ SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodi
 
 
 def _empty_store(monkeypatch):
-    """Empty the ranked columns."""
+    """Empty the ranked columns and the column kernel's pair tables."""
     monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    monkeypatch.setattr(measures, "_octave_pairs", cache(measures._octave_pairs.__wrapped__))
 
 
 class TestEnumerateHarmonies:
@@ -133,6 +136,17 @@ class TestRankTable:
         assert payload["rows"] == [
             {"rank": 1, "semitones": [0, 7], "cardinality": 2, "value": 1.0}
         ]
+
+    def test_row_is_a_named_tuple(self):
+        row = rank_table(JUST, "gradus", 2).rows[0]
+        assert RankedRow._fields == ("rank", "harmony", "value")
+        assert repr(row) == "RankedRow(rank=1, harmony=Harmony(semitones=(0, 7)), value=4.0)"
+        with pytest.raises(AttributeError):
+            row.value = 5.0
+        equal = RankedRow(1, Harmony((0, 7)), 4.0)
+        assert equal == row and hash(equal) == hash(row)
+        rank, harmony, value = row
+        assert (rank, harmony, value) == (1, Harmony((0, 7)), 4.0) == row
 
     def test_rank_of(self):
         table = rank_table(JUST, "rel_periodicity", cardinality=2)
@@ -224,6 +238,8 @@ class TestRankedColumn:
         assert calls == []
 
     def test_cold_column_looks_up_each_offset_once(self, monkeypatch):
+        # one pair table per tuning: the first cold column under a tuning
+        # looks up each offset -11..11 once, and no later cold column any
         looked_up = []
 
         def counting(t, n):
@@ -236,10 +252,16 @@ class TestRankedColumn:
             looked_up.clear()
             rank_table(JUST, name, 7)
             assert sorted(looked_up) == list(range(-11, 12)), name
-            if name in SIBLING:
-                looked_up.clear()
-                rank_table(JUST, SIBLING[name], 7)
-                assert looked_up == [], name
+            looked_up.clear()
+            for measure in MEASURES:
+                pairwise = measure in ("similarity", "brefeld")
+                monkeypatch.setattr(enumeration, "_COLUMNS", {})
+                for size in range(2 if pairwise else 1, 13):
+                    rank_table(JUST, measure, size)
+                if not pairwise:
+                    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+                    rank_table(JUST, measure)
+            assert looked_up == [], name
 
     # the whole octave holds {0}, which the pairwise measures reject
     @pytest.mark.parametrize("name, tuning, cardinality", [

@@ -5,6 +5,8 @@ Each bound is the count the path makes today.  A regression fails; a change
 that does less work passes, and tightens the bound.
 """
 
+from functools import cache
+
 import pytest
 
 from harmonicity import (
@@ -67,6 +69,23 @@ def test_correlate_ratio_lookups(monkeypatch):
         for measure in MEASURES:
             correlate_measure(dataset, measure, rational)
     assert len(calls) <= 2044, "ratio_for_semitone calls of correlate over 4 datasets x 6 measures"
+
+
+def test_cold_scan_ratio_lookups(monkeypatch):
+    # a cold scan: every measure under just and rational, the pairwise
+    # measures per cardinality 2..12 (they reject {0}), the others over the
+    # whole octave
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    monkeypatch.setattr(measures, "_octave_pairs", cache(measures._octave_pairs.__wrapped__))
+    calls = counted(monkeypatch, tuning, "ratio_for_semitone")
+    for t in (JUST, builtin_tuning("rational")):
+        for measure in MEASURES:
+            if measure in ("similarity", "brefeld"):
+                for size in range(2, 13):
+                    rank_table(t, measure, size)
+            else:
+                rank_table(t, measure)
+    assert len(calls) <= 46, "ratio_for_semitone calls of a cold scan of 6 measures x 2 tunings"
 
 
 def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
