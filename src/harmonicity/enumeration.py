@@ -9,15 +9,16 @@ is byte-identical across runs.  A category is evaluated on ints, from one
 ``(numerator, denominator)`` table of the tuning, by the measures' column
 kernel, which shares ``evaluate_measure``'s definitions and equals it by
 ``repr``, and a cold whole-octave column hands it every category not yet
-stored at once.  Every column one kernel pass returns is ranked and stored.
-A row is a :class:`RankedRow` named tuple, built from ``(rank, harmony,
-value)`` by one ``map`` per category, with no Python call per row.
+stored at once.  Every column one kernel pass returns is ranked and stored
+as one :class:`RankTable`: a whole-column query returns that table itself,
+and a top-N query a new table over a prefix of its rows.  A row is a
+:class:`RankedRow` named tuple, built from ``(rank, harmony, value)`` by one
+``map`` per category, with no Python call per row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, combinations, count
 from typing import Iterator, NamedTuple
@@ -80,9 +81,12 @@ class RankedRow(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Sorted ranking of one measure over one enumeration category."""
+class RankTable(NamedTuple):
+    """Sorted ranking of one measure over one enumeration category.
+
+    A table is a named tuple, so it also equals and unpacks into the plain
+    tuple ``(tuning, measure, cardinality, rows)``.
+    """
 
     tuning: str
     measure: str
@@ -97,22 +101,21 @@ class RankTable:
         raise UsageError(f"harmony {harmony} is not in this table")
 
 
-# One ranked column per (tuning, measure, cardinality), most consonant
+# One ranked table per (tuning, measure, cardinality), most consonant
 # first.  A category's columns are evaluated, sorted and numbered on first
-# use; the whole-octave column (cardinality None) evaluates every category
+# use; the whole-octave table (cardinality None) evaluates every category
 # not yet stored in one kernel call, then is merged from the 12 category
-# columns and shares their rows.
-_COLUMNS: dict[tuple[TuningTable, str, int | None], tuple[RankedRow, ...]] = {}
+# tables and shares their rows.  A whole-column query returns the stored
+# table itself.
+_COLUMNS: dict[tuple[TuningTable, str, int | None], RankTable] = {}
 
-# a row from its ``(rank, harmony, value)`` tuple, with no Python call per row
+# a row from its ``(rank, harmony, value)`` tuple and a table from its
+# ``(tuning, measure, cardinality, rows)`` tuple, with no Python call
 _row = partial(tuple.__new__, RankedRow)
+_table = partial(tuple.__new__, RankTable)
 
 
-def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[RankedRow, ...]:
-    key = (t, measure, cardinality)
-    rows = _COLUMNS.get(key)
-    if rows is not None:
-        return rows
+def _column(t: TuningTable, measure: str, cardinality: int | None) -> RankTable:
     sizes = range(1, 13) if cardinality is None else (cardinality,)
     missing = [size for size in sizes if (t, measure, size) not in _COLUMNS]
     if missing:
@@ -125,16 +128,18 @@ def _column(t: TuningTable, measure: str, cardinality: int | None) -> tuple[Rank
                 # a category is in lexicographic order and the sort is stable,
                 # so ties stay in that order, reversed or not
                 order = sorted(range(start, stop), key=values.__getitem__, reverse=descending)
-                _COLUMNS[t, name, size] = tuple(map(_row, zip(
+                rows = tuple(map(_row, zip(
                     count(1), map(harmonies.__getitem__, order), map(values.__getitem__, order))))
+                _COLUMNS[t, name, size] = _table((t.name, name, size, rows))
                 start = stop
     if cardinality is None:
         # the same order as each category's, so the merge keeps their ranks
         orientation = MEASURES[measure].orientation
-        _COLUMNS[key] = tuple(sorted(
-            chain.from_iterable(_COLUMNS[t, measure, size] for size in sizes),
+        rows = tuple(sorted(
+            chain.from_iterable(_COLUMNS[t, measure, size].rows for size in sizes),
             key=lambda row: (orientation * row.value, row.harmony.semitones)))
-    return _COLUMNS[key]
+        _COLUMNS[t, measure, None] = _table((t.name, measure, None, rows))
+    return _COLUMNS[t, measure, cardinality]
 
 
 def rank_table(
@@ -149,12 +154,19 @@ def rank_table(
     Ranks are ordinal within each tone-count category; rows of a mixed
     table (no cardinality filter) are globally sorted the same way, with the
     per-category ranks attached.  ``top`` truncates to the first rows after
-    sorting.  Each ranked column is computed once per process and later
-    queries with the same tuning and measure read it.
+    sorting.  Each ranked table is computed once per process: a later query
+    without ``top`` returns that same table, and one with ``top`` a new
+    table over the first rows.
 
     >>> from .tuning import builtin_tuning
-    >>> rank_table(builtin_tuning("just"), "gradus", 2).rows[0]
+    >>> just = builtin_tuning("just")
+    >>> rank_table(just, "gradus", 2).rows[0]
     RankedRow(rank=1, harmony=Harmony(semitones=(0, 7)), value=4.0)
+    >>> rank_table(just, "gradus", 2, 1)  # doctest: +NORMALIZE_WHITESPACE
+    RankTable(tuning='just', measure='gradus', cardinality=2,
+              rows=(RankedRow(rank=1, harmony=Harmony(semitones=(0, 7)), value=4.0),))
+    >>> rank_table(just, "gradus", 2) is rank_table(just, "gradus", 2)
+    True
     """
     lookup_measure(measure)
     if top is not None and not isinstance(top, int):
@@ -163,8 +175,12 @@ def rank_table(
         raise UsageError(f"top must be >= 1, got {top!r}")
     if cardinality is not None:
         _check_cardinality(cardinality)
-    return RankTable(tuning=t.name, measure=measure, cardinality=cardinality,
-                     rows=_column(t, measure, cardinality)[:top])
+    table = _COLUMNS.get((t, measure, cardinality))
+    if table is None:
+        table = _column(t, measure, cardinality)
+    if top is None:
+        return table
+    return _table((table.tuning, table.measure, table.cardinality, table.rows[:top]))
 
 
 def top_share_count(category_size: int, fraction: float) -> int:

@@ -16,6 +16,7 @@ from harmonicity import (
     MEASURES,
     Harmony,
     RankedRow,
+    RankTable,
     TuningTable,
     UndefinedMeasureError,
     UsageError,
@@ -147,6 +148,35 @@ class TestRankTable:
         assert equal == row and hash(equal) == hash(row)
         rank, harmony, value = row
         assert (rank, harmony, value) == (1, Harmony((0, 7)), 4.0) == row
+
+    def test_table_is_a_named_tuple(self):
+        table = rank_table(JUST, "gradus", 2, 1)
+        assert RankTable._fields == ("tuning", "measure", "cardinality", "rows")
+        assert repr(table) == (
+            "RankTable(tuning='just', measure='gradus', cardinality=2, "
+            "rows=(RankedRow(rank=1, harmony=Harmony(semitones=(0, 7)), value=4.0),))")
+        with pytest.raises(AttributeError):
+            table.rows = ()
+        plain = ("just", "gradus", 2, ((1, Harmony((0, 7)), 4.0),))
+        assert table == plain and len(table) == 4
+        tuning, measure, cardinality, rows = table
+        assert (tuning, measure, cardinality, rows) == plain
+
+    @pytest.mark.parametrize("cardinality", [5, None], ids=["category", "octave"])
+    def test_whole_column_query_returns_the_stored_table(self, cardinality):
+        stored = rank_table(JUST, "omega", cardinality)
+        assert enumeration._COLUMNS[JUST, "omega", cardinality] is stored
+        assert rank_table(JUST, "omega", cardinality) is stored
+        assert rank_table(TuningTable("just", JUST.ratios), "omega", cardinality) is stored
+
+    @pytest.mark.parametrize("cardinality", [5, None], ids=["category", "octave"])
+    def test_top_table_holds_a_prefix_of_the_stored_rows(self, cardinality):
+        stored = rank_table(JUST, "omega", cardinality)
+        top = rank_table(JUST, "omega", cardinality, 7)
+        assert top is not stored
+        assert top[:3] == stored[:3] == ("just", "omega", cardinality)
+        assert top.rows == stored.rows[:7] and len(top.rows) == 7
+        assert rank_table(JUST, "omega", cardinality, 5000).rows == stored.rows
 
     def test_rank_of(self):
         table = rank_table(JUST, "rel_periodicity", cardinality=2)

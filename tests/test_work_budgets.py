@@ -5,6 +5,7 @@ Each bound is the count the path makes today.  A regression fails; a change
 that does less work passes, and tightens the bound.
 """
 
+import sys
 from functools import cache
 
 import pytest
@@ -37,6 +38,23 @@ def counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def python_calls(function, *args):
+    """Names of the Python-level functions one call ``function(*args)``
+    enters, itself included; calls into C code are not counted."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return names
 
 
 def test_analyze_octave_ratio_lookups(monkeypatch):
@@ -121,3 +139,16 @@ def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, b
     rank_table(JUST, "gradus", cardinality)
     assert 0 < len(built) <= budget, (
         f"prefix states built for the cold gradus column of cardinality {cardinality} under just")
+
+
+# a warm query validates its arguments and reads the stored table: a whole
+# column is rank_table, lookup_measure and the key's TuningTable.__hash__;
+# a category adds the cardinality check, and a top-N query builds its table
+# without a Python call
+@pytest.mark.parametrize("cardinality, top, budget",
+                         [(None, None, 3), (7, None, 4), (None, 10, 3), (7, 10, 4)])
+def test_warm_query_python_calls(cardinality, top, budget):
+    rank_table(JUST, "gradus", cardinality, top)
+    names = python_calls(rank_table, JUST, "gradus", cardinality, top)
+    assert len(names) <= budget, (
+        f"Python calls of a warm rank_table(cardinality={cardinality}, top={top}): {names}")
