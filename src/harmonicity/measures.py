@@ -25,11 +25,12 @@ pairs: :func:`evaluate_measure` looks up what its tone set needs (the
 periodicity pair per view, through :func:`~harmonicity.periodicity.analyze`),
 and ``_column_values``, behind :mod:`harmonicity.enumeration`, reads offsets
 -11..11 from one pair table per tuning, looked up by its first pass.  It
+has two passes.  One yields both periodicity means, gradus and omega: it
 builds each harmony's lcms from those of its parent, the harmony without
-its highest tone: the 12 per-anchor lcms of denominators, which the same h'
-rescales into the views, or the lcms of numerators and denominators behind
-the ratio product.  Every pass yields a pair: both periodicity means,
-similarity and brefeld, or gradus and omega.
+its highest tone, namely the 12 per-anchor lcms of denominators, which the
+same h' rescales into the views, and the lcm of numerators, whose product
+with anchor 0's lcm is the ratio product.  The other yields similarity and
+brefeld from each harmony's distances.
 """
 
 from __future__ import annotations
@@ -198,36 +199,33 @@ def _octave_pairs(t: TuningTable) -> dict[int, tuple[int, int]]:
 def _column_values(harmonies: Sequence[Harmony], measure: str,
                    t: TuningTable) -> dict[str, list[float]]:
     """``{name: [evaluate_measure(h.semitones, name, t) for h in harmonies]}``
-    for ``measure`` and the sibling its pass also yields, equal by ``repr``:
-    both periodicity means from one set of integer views, similarity and
-    brefeld from one distance list per harmony, gradus and omega from one
-    factorization per distinct ratio product, all from the tuning's pair table.
-    The lcms behind h' and the ratio product extend those of the harmony
-    without its highest tone."""
+    for every measure of ``measure``'s pass, equal by ``repr``: similarity
+    and brefeld from one distance list per harmony, or both periodicity
+    means, gradus and omega from one lcm state per harmony, its views and
+    one factorization per distinct ratio product, all from the tuning's pair
+    table.  A harmony's lcm state extends that of the harmony without its
+    highest tone."""
     tones = [h.semitones for h in harmonies]
     if measure in ("similarity", "brefeld"):
         distances = list(map(_distances, tones))  # a lone tone raises before any lookup
+        pairs = _octave_pairs(t)
+        return {"similarity": list(map(_similarity(pairs), distances)),
+                "brefeld": list(map(_brefeld(pairs), distances))}
     pairs = _octave_pairs(t)
-    if measure in ("rel_periodicity", "log_periodicity"):
-        # the view from tone m reads tone n at offset n - m, its lowest tone 0 at -m
-        dens = [[pairs[n - m][1] for m in range(12)] for n in range(12)]
-        lowest = [pairs[-m] for m in range(12)]
-        # per anchor m, the lcm of den(n - m) over the harmony's tones n
-        lcms = _prefix_states(tones, [1] * 12,
-                              lambda parent, n: list(map(math.lcm, parent, dens[n])))
-        means = [_means([_h_prime(state[m], lowest[m]) for m in s])
-                 for s, state in zip(tones, map(lcms.__getitem__, tones))]
-        return {"rel_periodicity": [rel for rel, _ in means],
-                "log_periodicity": [log for _, log in means]}
-    if measure in ("gradus", "omega"):
-        # (lcm of numerators, lcm of denominators) of the lowest-tone ratios
-        lcms = _prefix_states(tones, (1, 1), lambda parent, n: (
-            math.lcm(parent[0], pairs[n][0]), math.lcm(parent[1], pairs[n][1])))
-        products = [num * den for num, den in map(lcms.__getitem__, tones)]
-        # few products recur (87 distinct of 2048 under just): factor each once
-        factors = {product: prime_factor_multiset(product) for product in set(products)}
-        gradus = {product: float(_gradus_of(f)) for product, f in factors.items()}
-        omega = {product: float(_omega_of(f)) for product, f in factors.items()}
-        return {"gradus": [gradus[p] for p in products], "omega": [omega[p] for p in products]}
-    return {"similarity": list(map(_similarity(pairs), distances)),
-            "brefeld": list(map(_brefeld(pairs), distances))}
+    # the view from tone m reads tone n at offset n - m, its lowest tone 0 at -m
+    rows = [[pairs[n - m][1] for m in range(12)] + [pairs[n][0]] for n in range(12)]
+    lowest = [pairs[-m] for m in range(12)]
+    # per anchor m, the lcm of den(n - m) over the harmony's tones n, then
+    # the lcm of their numerators num(n)
+    lcms = _prefix_states(tones, [1] * 13, lambda parent, n: list(map(math.lcm, parent, rows[n])))
+    states = list(map(lcms.__getitem__, tones))
+    means = [_means([_h_prime(state[m], lowest[m]) for m in s]) for s, state in zip(tones, states)]
+    # lcm(numerators) * lcm(denominators); anchor 0 reads the lowest-tone ratios
+    products = [state[12] * state[0] for state in states]
+    # few products recur (87 distinct of 2048 under just): factor each once
+    factors = {product: prime_factor_multiset(product) for product in set(products)}
+    gradus = {product: float(_gradus_of(f)) for product, f in factors.items()}
+    omega = {product: float(_omega_of(f)) for product, f in factors.items()}
+    return {"rel_periodicity": [rel for rel, _ in means],
+            "log_periodicity": [log for _, log in means],
+            "gradus": [gradus[p] for p in products], "omega": [omega[p] for p in products]}

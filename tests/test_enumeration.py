@@ -17,6 +17,7 @@ from harmonicity import (
     Harmony,
     RankedRow,
     RankTable,
+    TuningError,
     TuningTable,
     UndefinedMeasureError,
     UsageError,
@@ -42,10 +43,12 @@ DYAD_RANKING = [
     (9, (0, 11), 8.0), (10, (0, 2), 8.5), (11, (0, 1), 15.0),
 ]
 
-# the measure whose values each measure's kernel pass also computes
-SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodicity",
-           "similarity": "brefeld", "brefeld": "similarity",
-           "gradus": "omega", "omega": "gradus"}
+# every column each measure's kernel pass returns: one pass for the four
+# lcm measures, one for the two pairwise measures
+PASS = {name: columns
+        for columns in ({"rel_periodicity", "log_periodicity", "gradus", "omega"},
+                        {"similarity", "brefeld"})
+        for name in columns}
 
 
 def _empty_store(monkeypatch):
@@ -296,21 +299,24 @@ class TestRankedColumn:
     # the whole octave holds {0}, which the pairwise measures reject
     @pytest.mark.parametrize("name, tuning, cardinality", [
         pytest.param(name, tuning, cardinality, id=f"{name}-{tuning.name}-{cardinality or 'octave'}")
-        for name in SIBLING for tuning in (JUST, builtin_tuning("rational"))
+        for name in PASS for tuning in (JUST, builtin_tuning("rational"))
         for cardinality in (7, None) if cardinality or name not in ("similarity", "brefeld")
     ])
     def test_sibling_reads_its_partners_pass(self, calls, name, tuning, cardinality):
-        sibling = SIBLING[name]
+        partners = sorted(PASS[name] - {name})
         rank_table(tuning, name, cardinality)
         assert calls
         sizes = (cardinality,) if cardinality is not None else range(1, 13)
-        assert all((tuning, sibling, size) in enumeration._COLUMNS for size in sizes)
+        assert all((tuning, partner, size) in enumeration._COLUMNS
+                   for partner in partners for size in sizes)
         calls.clear()
-        shared = rank_table(tuning, sibling, cardinality)
+        shared = {partner: rank_table(tuning, partner, cardinality) for partner in partners}
         assert calls == []
-        enumeration._COLUMNS.clear()
-        assert rank_table(tuning, sibling, cardinality) == shared
-        assert calls
+        for partner in partners:
+            enumeration._COLUMNS.clear()
+            assert rank_table(tuning, partner, cardinality) == shared[partner], partner
+            assert calls, partner
+            calls.clear()
 
     @pytest.mark.parametrize("tuning", [JUST, builtin_tuning("rational")], ids=["just", "rational"])
     @pytest.mark.parametrize("name", ["rel_periodicity", "log_periodicity", "gradus", "omega"])
@@ -325,8 +331,9 @@ class TestRankedColumn:
         orientation = MEASURES[name].orientation
         keys = [(orientation * row.value, row.harmony.semitones) for row in fresh]
         assert keys == sorted(keys) and len(keys) == 2048
-        # some categories from the sibling's pass, then every category
-        assert octave([(SIBLING[name], 3), (SIBLING[name], 7)]) == fresh
+        # some categories from each partner's query, then every category
+        for partner in sorted(PASS[name] - {name}):
+            assert octave([(partner, 3), (partner, 7)]) == fresh, partner
         assert octave([(name, size) for size in range(1, 13)]) == fresh
 
     @pytest.mark.parametrize("name", ["similarity", "brefeld"])
@@ -352,6 +359,19 @@ class TestRankedColumn:
         )
         assert [row.harmony for row in rows] == expected
         assert [row.rank for row in rows] == list(range(1, 56))
+
+    # the pairwise pass rejects the lone tone {0} before it looks up the
+    # tuning's pairs, so the CLI names the missing tone, not the tuning
+    def test_lone_tone_error_comes_before_the_tuning_error(self, monkeypatch):
+        equal = builtin_tuning("equal")
+        _empty_store(monkeypatch)
+        with pytest.raises(UndefinedMeasureError, match="at least two tones"):
+            rank_table(equal, "similarity")
+        assert enumeration._COLUMNS == {}
+        for name in ("rel_periodicity", "log_periodicity", "gradus", "omega"):
+            with pytest.raises(TuningError, match="'equal' has irrational ratios"):
+                rank_table(equal, name)
+        assert enumeration._COLUMNS == {}
 
     def test_equal_tuning_objects_give_equal_rows(self):
         fresh, builtin = rational_tuning(0.01), builtin_tuning("rational")

@@ -410,10 +410,12 @@ class TestEvaluateMeasure:
                     assert repr(evaluate_measure(raw, name, t)) == expected, name
 
 
-# the measure whose values each measure's column pass also computes
-SIBLING = {"rel_periodicity": "log_periodicity", "log_periodicity": "rel_periodicity",
-           "similarity": "brefeld", "brefeld": "similarity",
-           "gradus": "omega", "omega": "gradus"}
+# every column each measure's column pass returns: one pass for the four
+# lcm measures, one for the two pairwise measures
+PASS = {name: columns
+        for columns in ({"rel_periodicity", "log_periodicity", "gradus", "omega"},
+                        {"similarity", "brefeld"})
+        for name in columns}
 
 
 # SHA-256 of the JSON list, one entry per measure in MEASURES order, of the
@@ -451,8 +453,8 @@ class TestColumnValues:
         assert hashlib.sha256(pinned).hexdigest() == OCTAVE_DIGESTS[tuning_id]
         for name in MEASURES:
             columns = measures._column_values(scored(name), name, tuning)
-            assert set(columns) == {name, SIBLING.get(name, name)}, name
-            # every column the pass returns, its sibling's included
+            assert set(columns) == PASS[name], name
+            # every column the pass returns, its partners' included
             for returned, column in columns.items():
                 assert list(map(repr, column)) == expected[returned], (name, returned)
         # each category alone, without the shorter harmonies its lcms extend

@@ -122,8 +122,25 @@ def test_cold_octave_column_is_one_kernel_call(monkeypatch):
         "one _column_values call over the 2048 harmonies of a cold whole-octave column")
 
 
+# one pass, so one kernel call and one set of prefix states, ranks all four
+# lcm measures, whichever is asked for first
+LCM_MEASURES = ["rel_periodicity", "log_periodicity", "gradus", "omega"]
+
+
+@pytest.mark.parametrize("first", LCM_MEASURES)
+def test_cold_octave_lcm_columns_are_one_pass(monkeypatch, first):
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    kernel_calls = counted(monkeypatch, enumeration, "_column_values")
+    passes = counted(monkeypatch, measures, "_prefix_states")
+    for measure in [first, *(m for m in LCM_MEASURES if m != first)]:
+        rank_table(JUST, measure)
+    assert (len(kernel_calls), len(passes)) == (1, 1), (
+        f"kernel calls and prefix-state passes of the four cold lcm octave columns, {first} first")
+
+
+@pytest.mark.parametrize("measure", ["rel_periodicity", "gradus"])
 @pytest.mark.parametrize("cardinality, budget", [(3, 66), (12, 12)])
-def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, budget):
+def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, budget, measure):
     monkeypatch.setattr(enumeration, "_COLUMNS", {})
     built = []
     prefix_states = measures._prefix_states
@@ -136,9 +153,9 @@ def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, b
         return prefix_states(tones, empty, extending)
 
     monkeypatch.setattr(measures, "_prefix_states", counting)
-    rank_table(JUST, "gradus", cardinality)
+    rank_table(JUST, measure, cardinality)
     assert 0 < len(built) <= budget, (
-        f"prefix states built for the cold gradus column of cardinality {cardinality} under just")
+        f"prefix states built for the cold {measure} column of {cardinality} tones under just")
 
 
 # a warm query validates its arguments and reads the stored table: a whole
