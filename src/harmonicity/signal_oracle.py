@@ -20,13 +20,13 @@ import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import UsageError
-from .periodicity import Harmony, ratios_for
-from .tuning import TuningTable
+from .periodicity import Harmony
+from .tuning import TuningTable, ratio_for_semitone
 
 __all__ = [
     "ToneStack",
@@ -34,21 +34,24 @@ __all__ = [
     "detect_period",
 ]
 
-#: Most lags x tones that :func:`detect_period` evaluates: 32 MB of float64
-#: for the product and its cosine, enough for a Pythagorean chromatic
-#: cluster (h = 124416, 12 tones).
+#: Most lags x tones that :func:`detect_period` evaluates, enough for a
+#: Pythagorean chromatic cluster (h = 124416, 12 tones).  A top tone whole
+#: octaves above the lowest passes the top-tone prefilter at every lag, so
+#: the bound stays the full product and its cosine, 32 MB of float64.
 _MAX_LATTICE_CELLS = 2_000_000
 
 #: Lowest-tone periods that :func:`detect_period` scans unless told otherwise.
 _DEFAULT_HORIZON = 130.0
 
 
-def _check_float_domain(f1: float, values: Iterable[float]) -> None:
+def _check_float_domain(f1: float, values: Iterable[float],
+                        least: float = sys.float_info.min) -> None:
     """Raise :class:`UsageError` unless every value lies in the finite
     normal float range: the scan runs in floats, and past that range its
     lags and cosines turn to inf or nan and the verdict is meaningless.
-    ``f1`` is the lowest tone in Hz, the one number the message names."""
-    if not all(sys.float_info.min <= x < math.inf for x in values):
+    ``f1`` is the lowest tone in Hz, the one number the message names;
+    ``least`` is the smallest value allowed, 0 for a phase at lag 0."""
+    if not all(least <= x < math.inf for x in values):
         raise UsageError(
             f"a lowest tone of {f1:g} Hz puts the oracle's periods or angular "
             "frequencies outside the finite normal float range"
@@ -78,7 +81,8 @@ class ToneStack:
         """Realize a harmony as pure tones with lowest frequency ``f1``."""
         if f1 <= 0:
             raise UsageError(f"reference frequency must be positive, got {f1!r}")
-        return cls(tuple(f1 * float(r) for r in ratios_for(h, t)))
+        ratios = _float_ratios(t)
+        return cls(tuple(f1 * (ratios[n % 12] * 2.0 ** (n // 12)) for n in h.semitones))
 
     @cached_property
     def angular_frequencies(self) -> tuple[float, ...]:
@@ -87,6 +91,15 @@ class ToneStack:
     @property
     def lowest_period(self) -> float:
         return 1.0 / self.frequencies[0]
+
+
+@cache
+def _float_ratios(t: TuningTable) -> tuple[float, ...]:
+    """``float(ratio_for_semitone(t, n))`` for ``n`` in 0..11, once per
+    tuning.  ``float`` gives a fraction's correctly rounded quotient and a
+    power of two scales it exactly, so ``ratios[n % 12] * 2.0 ** (n // 12)`` is
+    ``float(ratio_for_semitone(t, n))`` for every offset."""
+    return tuple(float(ratio_for_semitone(t, n)) for n in range(12))
 
 
 def autocorrelation(s: ToneStack, tau: float) -> float:
@@ -99,6 +112,8 @@ def autocorrelation(s: ToneStack, tau: float) -> float:
     """
     if tau < 0:
         raise UsageError(f"autocorrelation() needs tau >= 0, got {tau!r}")
+    # the top tone's phase is the largest; an infinite or nan one has no cosine
+    _check_float_domain(s.frequencies[0], (s.angular_frequencies[-1] * tau,), least=0.0)
     return 0.5 * math.fsum(math.cos(w * tau) for w in s.angular_frequencies)
 
 
@@ -111,9 +126,12 @@ def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> flo
     and returns the smallest multiple whose autocorrelation comes within
     ``1e-9 * k`` of the zero-lag value.  Returns ``None`` when no multiple
     qualifies, which signals irrational frequency ratios or a horizon
-    shorter than the true period.  The scan costs one cosine per tone and
-    lag; a horizon whose lattice exceeds ``_MAX_LATTICE_CELLS``, or whose
-    last lag leaves the finite normal float range, raises :class:`UsageError`.
+    shorter than the true period.  The scan takes the top tone's cosine at
+    every lag, and every tone's only at the lags where the top tone's is at
+    least 1/2: at any other lag ``rho`` stays at least 1/4 below ``k/2``.
+    A horizon whose lattice exceeds ``_MAX_LATTICE_CELLS``, or whose last lag
+    or top phase leaves the finite normal float range, raises
+    :class:`UsageError`.
 
     >>> detect_period(ToneStack((440.0, 550.0, 660.0))) == 4 / 440
     True
@@ -132,9 +150,12 @@ def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> flo
             f"the largest horizon for {k} tones is {max_horizon}"
         )
     lags = math.floor(search_horizon)
-    _check_float_domain(s.frequencies[0], (s.lowest_period * lags,))
+    last = s.lowest_period * lags
+    top = s.angular_frequencies[-1]
+    _check_float_domain(s.frequencies[0], (last, last * top))
     taus = s.lowest_period * np.arange(1, lags + 1)
-    # the vectorized autocorrelation() at every lag of the lattice
+    taus = taus[np.cos(taus * top) >= 0.5]
+    # the vectorized autocorrelation() at every lag the top tone lets through
     rho = 0.5 * np.cos(np.outer(taus, np.asarray(s.angular_frequencies))).sum(axis=1)
     hits = np.flatnonzero(rho >= 0.5 * k - 1e-9 * k)
     return float(taus[hits[0]]) if hits.size else None

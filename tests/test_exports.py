@@ -1,8 +1,8 @@
 """Public surface: every exported name resolves, so deleting a function
 cannot leave a stale entry in an ``__all__``, every name the benchmark
 under ``perfbench/`` imports still exists, one module turns ratios into
-integer pairs, one states the oracle's float domain, and ``reproduce``
-builds its checks in two places."""
+integer pairs, one states the oracle's float domain, the oracle looks up
+ratios in one function, and ``reproduce`` builds its checks in two places."""
 
 import ast
 import importlib
@@ -64,6 +64,22 @@ def test_only_the_oracle_states_its_float_domain():
                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
                      and "finite normal float range" in node.value})
     assert holders == ["signal_oracle.py"]
+
+
+def test_oracle_looks_up_ratios_only_in_its_float_table():
+    # one float table per tuning serves every tone stack; a Fraction per
+    # tone anywhere else in the oracle would bring back its cost
+    tree = ast.parse((PACKAGE / "signal_oracle.py").read_text(encoding="utf-8"))
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_float_ratios")
+    lookups = {"ratios_for", "ratio_for_semitone"}
+    named = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in lookups
+             or isinstance(node, ast.Attribute) and node.attr in lookups]
+    inside = {id(node) for node in ast.walk(table)}
+    outside = [node.lineno for node in named if id(node) not in inside]
+    assert named and outside == [], (
+        f"signal_oracle.py names a ratio lookup outside _float_ratios on lines {outside}")
 
 
 def test_reproduce_builds_checks_in_two_places():

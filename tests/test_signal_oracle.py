@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonicity import (
+    BUILTIN_TUNING_NAMES,
     Harmony,
     ToneStack,
+    TuningError,
     UsageError,
     analyze,
     autocorrelation,
@@ -29,10 +31,12 @@ from harmonicity import (
     inversion_offsets,
     prime_factor_multiset,
     ratio_for_semitone,
+    ratios_for,
     raw_periodicity,
 )
 
 JUST = builtin_tuning("just")
+RATIONAL_TUNINGS = [name for name in BUILTIN_TUNING_NAMES if name != "equal"]
 
 
 def full_height(stack, tau):
@@ -51,6 +55,30 @@ def certifies(stack, m):
     return full_height(stack, m * period) and not any(
         full_height(stack, m // p * period) for p in prime_factor_multiset(m)
     )
+
+
+def fraction_frequencies(h, t, f1):
+    """The stack's frequencies from one exact fraction per tone: the
+    referee of the oracle's per-tuning float table."""
+    return tuple(f1 * float(r) for r in ratios_for(h, t))
+
+
+def stack_or_error(make):
+    """``make()``'s frequencies, or its :class:`UsageError` message."""
+    try:
+        return make().frequencies
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+def full_lattice_period(stack, search_horizon):
+    """detect_period's scan without its top-tone prefilter: every tone's
+    cosine at every lag of the lattice."""
+    k = len(stack.frequencies)
+    taus = stack.lowest_period * np.arange(1, math.floor(search_horizon) + 1)
+    rho = 0.5 * np.cos(np.outer(taus, stack.angular_frequencies)).sum(axis=1)
+    hits = np.flatnonzero(rho >= 0.5 * k - 1e-9 * k)
+    return float(taus[hits[0]]) if hits.size else None
 
 
 subsets = st.sets(st.integers(1, 11), min_size=0, max_size=11).map(
@@ -105,6 +133,41 @@ class TestToneStack:
         with pytest.raises(UsageError):
             ToneStack.from_harmony(Harmony((0, 7)), JUST, 0.0)
 
+    @pytest.mark.parametrize("tuning", RATIONAL_TUNINGS)
+    def test_from_harmony_matches_fraction_ratios(self, tuning):
+        # the float table gives every one-octave harmony the frequencies of
+        # its exact fractions, bit for bit
+        t = builtin_tuning(tuning)
+        for harmony in enumerate_harmonies():
+            stack = ToneStack.from_harmony(harmony, t, 440.0)
+            assert stack.frequencies == fraction_frequencies(harmony, t, 440.0), harmony
+
+    @pytest.mark.parametrize("f1", [1e-310, 3.5e-309, 1e-300, 1.0, 27.5, 440.0,
+                                    1e300, 1e305, 2.5e306, math.nan])
+    def test_wide_chords_match_fraction_ratios(self, f1):
+        # chords up to the CLI's span of 127 semitones, at lowest tones that
+        # keep the stack in the float range and lowest tones that do not:
+        # the same frequencies, or the same UsageError
+        rng = random.Random(20261020)
+        for tuning in RATIONAL_TUNINGS:
+            t = builtin_tuning(tuning)
+            for _ in range(50):
+                span = rng.randint(1, 127)
+                inner = rng.sample(range(1, span), min(span - 1, rng.randint(0, 10)))
+                harmony = Harmony((0, *sorted(inner), span))
+                assert stack_or_error(lambda: ToneStack.from_harmony(harmony, t, f1)) == (
+                    stack_or_error(lambda: ToneStack(fraction_frequencies(harmony, t, f1)))
+                ), (tuning, harmony)
+
+    def test_from_harmony_irrational_tuning_error(self):
+        equal = builtin_tuning("equal")
+        with pytest.raises(TuningError) as expected:
+            ratios_for(Harmony((0, 4, 7)), equal)
+        for _ in range(2):  # an error is not cached
+            with pytest.raises(TuningError) as raised:
+                ToneStack.from_harmony(Harmony((0, 4, 7)), equal, 440.0)
+            assert str(raised.value) == str(expected.value)
+
     def test_derived_quantities(self):
         stack = ToneStack((220.0, 330.0))
         assert stack.lowest_period == 1.0 / 220.0
@@ -141,6 +204,19 @@ class TestAutocorrelation:
     def test_negative_lag_rejected(self):
         with pytest.raises(UsageError):
             autocorrelation(ToneStack((440.0,)), -1e-6)
+
+    @pytest.mark.parametrize("tau", [math.inf, 1e308, math.nan])
+    @pytest.mark.filterwarnings("error")
+    def test_lag_past_float_range_rejected(self, tau):
+        # an infinite top phase has no cosine, a nan one no verdict
+        with pytest.raises(UsageError, match=(
+                "^a lowest tone of 440 Hz puts the oracle's periods or angular "
+                "frequencies outside the finite normal float range$")):
+            autocorrelation(ToneStack((440.0, 550.0)), tau)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_lag_accepted(self):
+        assert autocorrelation(ToneStack((440.0, 550.0)), 5e-324) == 1.0
 
     @given(
         st.lists(st.floats(50.0, 2000.0), min_size=1, max_size=6, unique=True),
@@ -200,6 +276,36 @@ class TestDetectPeriod:
             warnings.simplefilter("error")
             with pytest.raises(UsageError, match="a lowest tone of 2e-306 Hz .* float range"):
                 detect_period(stack, search_horizon=1000.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_top_phase_past_float_range_rejected(self):
+        # the lag fits the float range, the top tone's phase at it does not
+        stack = ToneStack((1e-300, 1e300))
+        with pytest.raises(UsageError, match="a lowest tone of 1e-300 Hz .* float range"):
+            detect_period(stack, 1.0)
+
+    def test_prefilter_matches_full_lattice(self):
+        # every one-octave harmony with h <= 400 under the rational tunings,
+        # at horizons h - 1, h and h + 2: the top-tone prefilter returns the
+        # full lattice's float, None, or (horizon 0) a UsageError
+        outcomes = {"period": 0, "none": 0, "error": 0}
+        for tuning in RATIONAL_TUNINGS:
+            t = builtin_tuning(tuning)
+            for harmony in enumerate_harmonies():
+                h = raw_periodicity(harmony, t)
+                if h > 400:
+                    continue
+                stack = ToneStack.from_harmony(harmony, t, 440.0)
+                for horizon in (h - 1, h, h + 2):
+                    if horizon < 1:
+                        with pytest.raises(UsageError):
+                            detect_period(stack, horizon)
+                        outcomes["error"] += 1
+                        continue
+                    period = detect_period(stack, horizon)
+                    assert period == full_lattice_period(stack, horizon), (tuning, harmony)
+                    outcomes["none" if period is None else "period"] += 1
+        assert outcomes == {"period": 11328, "none": 5660, "error": 4}
 
     def test_scalar_autocorrelation_confirms_detected_lag(self):
         # the scalar closed form referees the vectorized lattice scan: full

@@ -14,6 +14,8 @@ from harmonicity import (
     DATASET_IDS,
     MEASURES,
     REPRODUCTION_TARGETS,
+    Harmony,
+    ToneStack,
     analyze,
     builtin_tuning,
     correlate_measure,
@@ -22,7 +24,7 @@ from harmonicity import (
     rank_table,
     reproduce,
 )
-from harmonicity import empirics, enumeration, measures, tuning
+from harmonicity import empirics, enumeration, measures, periodicity, signal_oracle, tuning
 
 JUST = builtin_tuning("just")
 
@@ -104,6 +106,24 @@ def test_cold_scan_ratio_lookups(monkeypatch):
             else:
                 rank_table(t, measure)
     assert len(calls) <= 46, "ratio_for_semitone calls of a cold scan of 6 measures x 2 tunings"
+
+
+# every module that calls ratio_for_semitone by its own global name
+RATIO_LOOKUP_MODULES = (tuning, periodicity, signal_oracle)
+
+
+def test_oracle_ratio_lookups(monkeypatch):
+    # the oracle reads one float table per tuning: no lookup once it is
+    # warm, whatever the chord, and 12 to build it
+    calls = [counted(monkeypatch, module, "ratio_for_semitone") for module in RATIO_LOOKUP_MODULES]
+    ToneStack.from_harmony(Harmony(tuple(range(12))), JUST, 440.0)
+    warm = sum(map(len, calls))
+    ToneStack.from_harmony(Harmony((0, 4, 7, 16, 127)), JUST, 440.0)
+    assert sum(map(len, calls)) == warm, "ratio_for_semitone calls of a warm ToneStack.from_harmony"
+    monkeypatch.setattr(signal_oracle, "_float_ratios",
+                        cache(signal_oracle._float_ratios.__wrapped__))
+    ToneStack.from_harmony(Harmony((0, 4, 7)), JUST, 440.0)
+    assert sum(map(len, calls)) - warm <= 12, "ratio_for_semitone calls of a cold ToneStack.from_harmony"
 
 
 def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
