@@ -36,12 +36,18 @@ __all__ = [
 
 #: Most lags x tones that :func:`detect_period` evaluates, enough for a
 #: Pythagorean chromatic cluster (h = 124416, 12 tones).  A top tone whole
-#: octaves above the lowest passes the top-tone prefilter at every lag, so
-#: the bound stays the full product and its cosine, 32 MB of float64.
+#: octaves above the lowest passes the top-tone step of the cascade at every
+#: lag, which ends the cascade there, so the bound stays the full product
+#: and its cosine, 32 MB of float64.
 _MAX_LATTICE_CELLS = 2_000_000
 
 #: Lowest-tone periods that :func:`detect_period` scans unless told otherwise.
 _DEFAULT_HORIZON = 130.0
+
+#: Lags left at which :func:`detect_period`'s cascade stops filtering: the
+#: default horizon's lattice, so a call at that horizon takes the top-tone
+#: step alone.
+_FEW_LAGS = 130
 
 
 def _check_float_domain(f1: float, values: Iterable[float],
@@ -82,7 +88,13 @@ class ToneStack:
         if f1 <= 0:
             raise UsageError(f"reference frequency must be positive, got {f1!r}")
         ratios = _float_ratios(t)
-        return cls(tuple(f1 * (ratios[n % 12] * 2.0 ** (n // 12)) for n in h.semitones))
+        try:
+            frequencies = tuple(f1 * (ratios[n % 12] * 2.0 ** (n // 12)) for n in h.semitones)
+        except OverflowError:
+            # 1024 octaves or more: 2.0 ** 1024 has no float, so the stack
+            # rejects the tone as it rejects an infinite one
+            frequencies = (f1, math.inf)
+        return cls(frequencies)
 
     @cached_property
     def angular_frequencies(self) -> tuple[float, ...]:
@@ -126,14 +138,32 @@ def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> flo
     and returns the smallest multiple whose autocorrelation comes within
     ``1e-9 * k`` of the zero-lag value.  Returns ``None`` when no multiple
     qualifies, which signals irrational frequency ratios or a horizon
-    shorter than the true period.  The scan takes the top tone's cosine at
-    every lag, and every tone's only at the lags where the top tone's is at
-    least 1/2: at any other lag ``rho`` stays at least 1/4 below ``k/2``.
-    A horizon whose lattice exceeds ``_MAX_LATTICE_CELLS``, or whose last lag
-    or top phase leaves the finite normal float range, raises
-    :class:`UsageError`.
+    shorter than the true period.
+
+    The scan filters the lags in a cascade, from the top tone down to the
+    one above the lowest, whose cosine is 1 at every lag: each step takes
+    one tone's cosine at the lags left and keeps those where it is at least
+    1/2, since at any other lag ``rho`` stays at least 1/4 below ``k/2``.
+    The cascade stops once at most ``_FEW_LAGS`` lags are left, so a call
+    at the default horizon takes the top-tone step alone, or after a step
+    that kept more than half of its lags; every tone's cosine is then taken
+    at the lags left.  Each further step thus runs on at most half the lags
+    of the one before, and a call takes no more than the full lattice's
+    ``horizon x (k + 1)`` cosines, the cost of a top tone whole octaves
+    above the lowest, which keeps every lag at its first step.  A horizon
+    whose lattice exceeds ``_MAX_LATTICE_CELLS``, or whose last lag or top
+    phase leaves the finite normal float range, raises :class:`UsageError`.
 
     >>> detect_period(ToneStack((440.0, 550.0, 660.0))) == 4 / 440
+    True
+
+    A horizon past ``_FEW_LAGS`` filters by several tones: the Kirnberger III
+    chromatic cluster repeats after 1440 lowest-tone periods.
+
+    >>> from harmonicity import builtin_tuning
+    >>> kirnberger3 = builtin_tuning("kirnberger3")
+    >>> stack = ToneStack.from_harmony(Harmony(tuple(range(12))), kirnberger3, 440.0)
+    >>> detect_period(stack, 1450) == 1440 * stack.lowest_period
     True
     """
     if not search_horizon >= 1:
@@ -154,8 +184,12 @@ def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> flo
     top = s.angular_frequencies[-1]
     _check_float_domain(s.frequencies[0], (last, last * top))
     taus = s.lowest_period * np.arange(1, lags + 1)
-    taus = taus[np.cos(taus * top) >= 0.5]
-    # the vectorized autocorrelation() at every lag the top tone lets through
+    for w in reversed(s.angular_frequencies[1:]):
+        before = taus.size
+        taus = taus[np.cos(taus * w) >= 0.5]
+        if taus.size <= _FEW_LAGS or 2 * taus.size > before:
+            break
+    # the vectorized autocorrelation() at every lag the cascade lets through
     rho = 0.5 * np.cos(np.outer(taus, np.asarray(s.angular_frequencies))).sum(axis=1)
     hits = np.flatnonzero(rho >= 0.5 * k - 1e-9 * k)
     return float(taus[hits[0]]) if hits.size else None

@@ -72,8 +72,8 @@ def stack_or_error(make):
 
 
 def full_lattice_period(stack, search_horizon):
-    """detect_period's scan without its top-tone prefilter: every tone's
-    cosine at every lag of the lattice."""
+    """detect_period's scan without any prefilter: every tone's cosine at
+    every lag of the lattice."""
     k = len(stack.frequencies)
     taus = stack.lowest_period * np.arange(1, math.floor(search_horizon) + 1)
     rho = 0.5 * np.cos(np.outer(taus, stack.angular_frequencies)).sum(axis=1)
@@ -158,6 +158,17 @@ class TestToneStack:
                 assert stack_or_error(lambda: ToneStack.from_harmony(harmony, t, f1)) == (
                     stack_or_error(lambda: ToneStack(fraction_frequencies(harmony, t, f1)))
                 ), (tuning, harmony)
+
+    @pytest.mark.parametrize("semitones, f1", [
+        ((0, 12288), 1e-300), ((0, 12288), 440.0), ((0, 4, 7, 12301), 1.0),
+        ((0, 2 ** 40), 440.0),
+    ])
+    def test_from_harmony_rejects_ratios_past_float_range(self, semitones, f1):
+        # 1024 octaves or more: 2.0 ** 1024 has no float, nor has the ratio
+        with pytest.raises(UsageError, match=(
+                f"^a lowest tone of {f1:g} Hz puts the oracle's periods or angular "
+                "frequencies outside the finite normal float range$")):
+            ToneStack.from_harmony(Harmony(semitones), JUST, f1)
 
     def test_from_harmony_irrational_tuning_error(self):
         equal = builtin_tuning("equal")
@@ -306,6 +317,45 @@ class TestDetectPeriod:
                     assert period == full_lattice_period(stack, horizon), (tuning, harmony)
                     outcomes["none" if period is None else "period"] += 1
         assert outcomes == {"period": 11328, "none": 5660, "error": 4}
+
+    @pytest.mark.parametrize("tuning, h", [("kirnberger3", 1440), ("pythagorean", 124416)])
+    def test_cascade_matches_full_lattice_on_chromatic_clusters(self, tuning, h):
+        # the lattices past _FEW_LAGS that filter by several tones: no
+        # period just short of h, then the full lattice's float
+        stack = ToneStack.from_harmony(Harmony(tuple(range(12))), builtin_tuning(tuning), 440.0)
+        periods = [detect_period(stack, horizon) for horizon in (h - 1, h, h + 2)]
+        assert periods == [full_lattice_period(stack, horizon) for horizon in (h - 1, h, h + 2)]
+        assert periods == [None, h * stack.lowest_period, h * stack.lowest_period]
+
+    def test_cascade_matches_full_lattice_on_octave_stack(self):
+        # a top tone whole octaves above the lowest keeps every lag, at the
+        # largest horizon the lattice budget allows 11 tones
+        stack = ToneStack.from_harmony(Harmony(tuple(range(0, 121, 12))), JUST, 440.0)
+        period = detect_period(stack, 181818)
+        assert period == full_lattice_period(stack, 181818) == stack.lowest_period
+
+    def test_cascade_matches_full_lattice_on_wide_chords(self):
+        # chords up to the CLI's span of 127 semitones, at seeded horizons
+        # from 300 to 5000 and, where h falls in that range, at h - 1, h and
+        # h + 2: the full lattice's float or None
+        rng = random.Random(20261020)
+        outcomes = {"period": 0, "none": 0}
+        for tuning in RATIONAL_TUNINGS:
+            t = builtin_tuning(tuning)
+            for _ in range(100):
+                span = rng.randint(1, 127)
+                inner = rng.sample(range(1, span), min(span - 1, rng.randint(0, 10)))
+                harmony = Harmony((0, *sorted(inner), span))
+                stack = ToneStack.from_harmony(harmony, t, 440.0)
+                h = raw_periodicity(harmony, t)
+                horizons = [rng.randint(300, 5000)]
+                if 300 <= h - 1 and h + 2 <= 5000:
+                    horizons += [h - 1, h, h + 2]
+                for horizon in horizons:
+                    period = detect_period(stack, horizon)
+                    assert period == full_lattice_period(stack, horizon), (tuning, harmony)
+                    outcomes["none" if period is None else "period"] += 1
+        assert outcomes == {"period": 441, "none": 97}
 
     def test_scalar_autocorrelation_confirms_detected_lag(self):
         # the scalar closed form referees the vectorized lattice scan: full

@@ -5,9 +5,13 @@ Each bound is the count the path makes today.  A regression fails; a change
 that does less work passes, and tightens the bound.
 """
 
+import importlib.util
+import math
 import sys
 from functools import cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harmonicity import (
@@ -24,9 +28,10 @@ from harmonicity import (
     rank_table,
     reproduce,
 )
-from harmonicity import empirics, enumeration, measures, periodicity, signal_oracle, tuning
+from harmonicity import cli, empirics, enumeration, measures, periodicity, signal_oracle, tuning
 
 JUST = builtin_tuning("just")
+OCTAVE_STACK = Harmony(tuple(range(0, 121, 12)))
 
 
 def counted(monkeypatch, module, name):
@@ -124,6 +129,100 @@ def test_oracle_ratio_lookups(monkeypatch):
                         cache(signal_oracle._float_ratios.__wrapped__))
     ToneStack.from_harmony(Harmony((0, 4, 7)), JUST, 440.0)
     assert sum(map(len, calls)) - warm <= 12, "ratio_for_semitone calls of a cold ToneStack.from_harmony"
+
+
+def benchmark_inputs():
+    """``perfbench/inputs.py``, the oracle cases the benchmark runs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class CountingNumpy:
+    """numpy as ``signal_oracle`` sees it, counting the elements passed to
+    ``np.cos``."""
+
+    def __init__(self):
+        self.cosines = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x):
+        self.cosines += np.size(x)
+        return np.cos(x)
+
+
+def detect_period_cosines(monkeypatch, stack, horizon):
+    """Elements that one ``detect_period(stack, horizon)`` takes the cosine of."""
+    counter = CountingNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(signal_oracle, "np", counter)
+        signal_oracle.detect_period(stack, horizon)
+    return counter.cosines
+
+
+def top_tone_step_cosines(stack, horizon):
+    """The cosines of a scan that filters by the top tone alone: one per
+    lag, then one per tone at each lag it keeps."""
+    taus = stack.lowest_period * np.arange(1, math.floor(horizon) + 1)
+    kept = np.count_nonzero(np.cos(taus * stack.angular_frequencies[-1]) >= 0.5)
+    return taus.size + kept * len(stack.frequencies)
+
+
+def test_default_horizon_oracle_cosines(monkeypatch, capsys):
+    # every default-horizon call the benchmark makes, through the API and
+    # through the CLI, filters by the top tone alone
+    inputs = benchmark_inputs()
+    default = signal_oracle._DEFAULT_HORIZON
+    stacks = [(ToneStack.from_harmony(Harmony(tones), builtin_tuning(name), inputs.DEFAULT_F1),
+               horizon) for _, tones, name, horizon in inputs.ORACLE_FIXED if horizon == default]
+    calls = []
+
+    def recording(stack, search_horizon):
+        calls.append((stack, search_horizon))
+        return signal_oracle.detect_period(stack, search_horizon)
+
+    monkeypatch.setattr(cli, "detect_period", recording)
+    for argv in inputs.cli_pool("oracle", "text"):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(calls) == len(inputs.cli_pool("oracle", "text"))
+    # and every one-octave harmony of two or more tones under the rational
+    # tunings (a lone tone takes no step: its one tone is the lowest)
+    stacks += calls + [
+        (ToneStack.from_harmony(harmony, builtin_tuning(name), 440.0), default)
+        for name in inputs.RATIONAL_TUNINGS for harmony in enumerate_harmonies()
+        if len(harmony.semitones) > 1
+    ]
+    for stack, horizon in stacks:
+        assert horizon == default
+        assert detect_period_cosines(monkeypatch, stack, horizon) == (
+            top_tone_step_cosines(stack, horizon)), stack
+
+
+def test_kirnberger3_chromatic_oracle_cosines(monkeypatch):
+    # the benchmark's large lattice: the top tone keeps 544 of 1450 lags
+    stack = ToneStack.from_harmony(Harmony(tuple(range(12))), builtin_tuning("kirnberger3"), 440.0)
+    assert top_tone_step_cosines(stack, 1450.0) == 1450 + 544 * 12
+    assert detect_period_cosines(monkeypatch, stack, 1450.0) < (1450 + 544 * 12) / 2, (
+        "cosines of detect_period on the Kirnberger III chromatic cluster at horizon 1450")
+
+
+@pytest.mark.parametrize("harmony, horizon", [
+    *((OCTAVE_STACK, horizon) for horizon in (1.0, 130.0, 1450.0, 181818.0)),
+    (Harmony((0, 7)), 1000.0), (Harmony((0, 7)), 100000.0),
+    (Harmony((0,)), 130.0), (Harmony((0,)), 100000.0),
+])
+def test_oracle_cosines_never_exceed_the_top_tone_step(monkeypatch, harmony, horizon):
+    # a top tone whole octaves above the lowest keeps every lag, so the
+    # worst case stays the top-tone step and the full lattice; no step is
+    # taken on the lowest tone, whose cosine is 1 at every lag
+    stack = ToneStack.from_harmony(harmony, JUST, 440.0)
+    assert detect_period_cosines(monkeypatch, stack, horizon) <= (
+        top_tone_step_cosines(stack, horizon)), "cosines of detect_period"
 
 
 def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
