@@ -30,7 +30,10 @@ builds each harmony's lcms from those of its parent, the harmony without
 its highest tone, namely the 12 per-anchor lcms of denominators, which the
 same h' rescales into the views, and the lcm of numerators, whose product
 with anchor 0's lcm is the ratio product.  The other yields similarity and
-brefeld from each harmony's distances.
+brefeld from one table of interval folds per tuning: for every one-octave
+tone set, the sum of its distances' similarity weights and the product of
+their Brefeld factors, each extending the folds of the set without its
+highest tone, so a harmony costs one division and one root.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import UndefinedMeasureError, UsageError
@@ -67,10 +71,16 @@ class Measure:
     orientation: int
 
 
+def _pair_count(size: int) -> int:
+    """The number of unordered pairs of ``size`` tones."""
+    if size < 2:
+        raise UndefinedMeasureError("pairwise-interval measures need at least two tones")
+    return size * (size - 1) // 2
+
+
 def _distances(tones: Sequence[int]) -> list[int]:
     """Semitone distances of all unordered tone pairs; a duplicate is the unison 0."""
-    if len(tones) < 2:
-        raise UndefinedMeasureError("pairwise-interval measures need at least two tones")
+    _pair_count(len(tones))
     return [high - low for low, high in combinations(sorted(tones), 2)]
 
 
@@ -98,13 +108,24 @@ def _omega_of(factors: dict[int, int]) -> int:
     return sum(factors.values())
 
 
-def _similarity(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], float]:
-    """Percentage similarity of a tone set's distances: the mean of each
-    distance's ``(a + b - 1) / (a * b)``, summed over one common denominator."""
-    common = math.lcm(*[a * b for a, b in pairs.values()])
-    terms = {d: (a + b - 1) * (common // (a * b)) for d, (a, b) in pairs.items()}
-    # int true division rounds like float(Fraction)
-    return lambda distances: sum(map(terms.__getitem__, distances)) * 100 / (common * len(distances))
+def _brefeld_factors(pairs: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """Each distance's Brefeld factor, the product ``a * b`` of its interval ``a/b``."""
+    return {d: a * b for d, (a, b) in pairs.items()}
+
+
+def _similarity_weights(pairs: dict[int, tuple[int, int]],
+                        factors: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """``(common, weights)``: the lcm ``common`` of the distances' Brefeld
+    ``factors`` and each distance's similarity weight, its
+    ``(a + b - 1) / (a * b)`` times ``common``."""
+    common = math.lcm(*factors.values())
+    return common, {d: (a + b - 1) * (common // factors[d]) for d, (a, b) in pairs.items()}
+
+
+def _similarity_of(total: int, common: int, count: int) -> float:
+    """Percentage similarity from the sum ``total`` of ``count`` weights over ``common``."""
+    # int true division rounds like float(Fraction), whatever common is
+    return total * 100 / (common * count)
 
 
 def _root(product: int, count: int) -> float:
@@ -117,11 +138,25 @@ def _root(product: int, count: int) -> float:
         return math.exp(math.log(product) * exponent)
 
 
+def _brefeld_of(product: int, count: int) -> float:
+    """Brefeld's value from the product of ``count`` intervals' factors: the
+    2k-th root of every numerator and denominator over k intervals."""
+    return _root(product, 2 * count)
+
+
+def _similarity(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], float]:
+    """Percentage similarity of a tone set's distances: the mean of each
+    distance's ``(a + b - 1) / (a * b)``, summed over one common denominator."""
+    common, weights = _similarity_weights(pairs, _brefeld_factors(pairs))
+    return lambda distances: _similarity_of(sum(map(weights.__getitem__, distances)),
+                                            common, len(distances))
+
+
 def _brefeld(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], float]:
-    """Brefeld's value of a tone set's distances: the 2k-th root of the
-    product of every interval's numerator and denominator over k intervals."""
-    products = {d: a * b for d, (a, b) in pairs.items()}
-    return lambda distances: _root(math.prod(map(products.__getitem__, distances)), 2 * len(distances))
+    """Brefeld's value of a tone set's distances."""
+    factors = _brefeld_factors(pairs)
+    return lambda distances: _brefeld_of(math.prod(map(factors.__getitem__, distances)),
+                                         len(distances))
 
 
 def _pairwise(definition: Callable, tones: Sequence[int], t: TuningTable) -> float:
@@ -196,21 +231,60 @@ def _octave_pairs(t: TuningTable) -> dict[int, tuple[int, int]]:
     return _ratio_pairs(t, range(-11, 12))
 
 
+@cache
+def _tone_sets() -> dict[tuple[int, ...], int]:
+    """The index of every one-octave tone set, 0 and a subset of 1..11 in
+    ascending order: tone n >= 1 is bit n - 1 of the index, so set
+    ``i + 2 ** (n - 1)`` is set ``i`` with the new top tone n."""
+    sets = [(0,)]
+    for n in range(1, 12):
+        sets += [s + (n,) for s in sets]
+    return dict(zip(sets, range(len(sets))))
+
+
+@cache
+def _interval_folds(t: TuningTable) -> tuple[int, list[int], list[int]]:
+    """``(common, totals, products)``: per one-octave tone set, indexed as
+    in :func:`_tone_sets`, the sum of the similarity weights over ``common``
+    and the product of the Brefeld factors of all its distances.  A set
+    with top tone n adds to the folds of the set without n the folds of n's
+    distances to that set's tones, and those in turn extend n's folds to the
+    set without its own top tone, so each entry takes one int step.  Like
+    :func:`_octave_pairs` it is kept for the life of the process."""
+    octave = _octave_pairs(t)
+    pairs = {d: octave[d] for d in range(1, 12)}
+    factors = _brefeld_factors(pairs)
+    common, weights = _similarity_weights(pairs, factors)
+    totals, products = [0], [1]
+    for n in range(1, 12):
+        # per set i of tones below n, the folds of n's distances to its tones
+        weights_to_n, factors_to_n = [weights[n]], [factors[n]]
+        for top in range(1, n):
+            weight, factor = weights[n - top], factors[n - top]
+            weights_to_n += [w + weight for w in weights_to_n]
+            factors_to_n += [f * factor for f in factors_to_n]
+        totals += list(map(add, totals, weights_to_n))
+        products += list(map(mul, products, factors_to_n))
+    return common, totals, products
+
+
 def _column_values(harmonies: Sequence[Harmony], measure: str,
                    t: TuningTable) -> dict[str, list[float]]:
     """``{name: [evaluate_measure(h.semitones, name, t) for h in harmonies]}``
     for every measure of ``measure``'s pass, equal by ``repr``: similarity
-    and brefeld from one distance list per harmony, or both periodicity
-    means, gradus and omega from one lcm state per harmony, its views and
-    one factorization per distinct ratio product, all from the tuning's pair
-    table.  A harmony's lcm state extends that of the harmony without its
-    highest tone."""
+    and brefeld from the harmony's two ints in the tuning's table of interval
+    folds, or both periodicity means, gradus and omega from one lcm state
+    per harmony, its views and one factorization per distinct ratio product,
+    from the tuning's pair table.  A harmony's lcm state extends that of the
+    harmony without its highest tone."""
     tones = [h.semitones for h in harmonies]
     if measure in ("similarity", "brefeld"):
-        distances = list(map(_distances, tones))  # a lone tone raises before any lookup
-        pairs = _octave_pairs(t)
-        return {"similarity": list(map(_similarity(pairs), distances)),
-                "brefeld": list(map(_brefeld(pairs), distances))}
+        counts = list(map(_pair_count, map(len, tones)))  # a lone tone raises before any lookup
+        common, totals, products = _interval_folds(t)
+        index = list(map(_tone_sets().__getitem__, tones))
+        return {"similarity": list(map(_similarity_of, map(totals.__getitem__, index),
+                                       repeat(common), counts)),
+                "brefeld": list(map(_brefeld_of, map(products.__getitem__, index), counts))}
     pairs = _octave_pairs(t)
     # the view from tone m reads tone n at offset n - m, its lowest tone 0 at -m
     rows = [[pairs[n - m][1] for m in range(12)] + [pairs[n][0]] for n in range(12)]

@@ -293,7 +293,8 @@ def _rank_digest(capsys, tuning, measure, fmt):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("tuning, measure", RANK_DIGESTS, ids=" ".join)
+@pytest.mark.parametrize("tuning, measure", RANK_DIGESTS,
+                         ids=[" ".join(key) for key in RANK_DIGESTS])
 def test_rank_csv_bytes_are_unchanged(capsys, tuning, measure):
     assert _rank_digest(capsys, tuning, measure, "csv") == RANK_DIGESTS[tuning, measure]
 

@@ -7,6 +7,7 @@ are binomial coefficients by construction.
 
 import json
 import math
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -52,9 +53,10 @@ PASS = {name: columns
 
 
 def _empty_store(monkeypatch):
-    """Empty the ranked columns and the column kernel's pair tables."""
+    """Empty the ranked columns and the column kernel's per-tuning tables."""
     monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    monkeypatch.setattr(measures, "_octave_pairs", cache(measures._octave_pairs.__wrapped__))
+    for name in ("_octave_pairs", "_interval_folds"):
+        monkeypatch.setattr(measures, name, cache(getattr(measures, name).__wrapped__))
 
 
 class TestEnumerateHarmonies:
@@ -194,10 +196,16 @@ class TestRankTable:
         with pytest.raises(UsageError, match="top must be"):
             rank_table(JUST, "log_periodicity", top=0)
 
-    @pytest.mark.parametrize("cardinality, top", [(2.0, None), (3, 2.5), ("3", None)])
-    def test_non_integer_cardinality_or_top(self, cardinality, top):
+    # a bool is an int to isinstance, but True would be stored as the
+    # header of the one-tone table and served to a later query for 1
+    @pytest.mark.parametrize("cardinality, top", [
+        (2.0, None), (3, 2.5), ("3", None), (True, None), (False, None), (2, True), (None, False),
+    ])
+    def test_non_integer_cardinality_or_top(self, monkeypatch, cardinality, top):
+        monkeypatch.setattr(enumeration, "_COLUMNS", {})
         with pytest.raises(UsageError, match="must be an integer"):
             rank_table(JUST, "gradus", cardinality, top)
+        assert enumeration._COLUMNS == {}
 
     def test_pairwise_measures_reject_single_tone_category(self):
         # the full enumeration includes the one-tone harmony
@@ -335,6 +343,27 @@ class TestRankedColumn:
         for partner in sorted(PASS[name] - {name}):
             assert octave([(partner, 3), (partner, 7)]) == fresh, partner
         assert octave([(name, size) for size in range(1, 13)]) == fresh
+
+    # the five tunings whose octave values TestColumnValues pins
+    @pytest.mark.parametrize("tuning", [
+        *map(builtin_tuning, ("just", "pythagorean", "kirnberger3", "rational")),
+        rational_tuning(0.001),
+    ], ids=["just", "pythagorean", "kirnberger3", "rational", "rational-0.001"])
+    def test_pairwise_categories_are_equal_in_any_order(self, monkeypatch, tuning):
+        # every category reads the tuning's one table of interval folds,
+        # whichever category builds it
+        queries = [(name, size) for size in range(2, 13) for name in ("similarity", "brefeld")]
+
+        def ranked(order):
+            _empty_store(monkeypatch)
+            for name, size in order:
+                rank_table(tuning, name, size)
+            return {query: rank_table(tuning, *query) for query in queries}
+
+        in_order = ranked(queries)
+        assert ranked(queries[::-1]) == in_order
+        shuffled = random.Random(29).sample(queries, len(queries))
+        assert ranked(shuffled) == in_order
 
     @pytest.mark.parametrize("name", ["similarity", "brefeld"])
     def test_failed_full_table_stores_nothing(self, monkeypatch, name):

@@ -82,6 +82,15 @@ def test_oracle_looks_up_ratios_only_in_its_float_table():
         f"signal_oracle.py names a ratio lookup outside _float_ratios on lines {outside}")
 
 
+def test_pairwise_terms_are_written_once():
+    # an interval a/b's similarity weight and Brefeld factor serve both
+    # evaluate_measure and the column kernel's fold table
+    tree = ast.parse((PACKAGE / "measures.py").read_text(encoding="utf-8"))
+    terms = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.BinOp)]
+    counts = {term: terms.count(term) for term in ("a + b - 1", "a * b")}
+    assert counts == {"a + b - 1": 1, "a * b": 1}, f"times each term is written in measures.py: {counts}"
+
+
 def test_reproduce_builds_checks_in_two_places():
     # one construction for golden cells, one for golden-row statistics
     tree = ast.parse((PACKAGE / "empirics.py").read_text(encoding="utf-8"))

@@ -101,7 +101,8 @@ def test_cold_scan_ratio_lookups(monkeypatch):
     # measures per cardinality 2..12 (they reject {0}), the others over the
     # whole octave
     monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    monkeypatch.setattr(measures, "_octave_pairs", cache(measures._octave_pairs.__wrapped__))
+    for name in ("_octave_pairs", "_interval_folds"):
+        monkeypatch.setattr(measures, name, cache(getattr(measures, name).__wrapped__))
     calls = counted(monkeypatch, tuning, "ratio_for_semitone")
     for t in (JUST, builtin_tuning("rational")):
         for measure in MEASURES:
@@ -111,6 +112,26 @@ def test_cold_scan_ratio_lookups(monkeypatch):
             else:
                 rank_table(t, measure)
     assert len(calls) <= 46, "ratio_for_semitone calls of a cold scan of 6 measures x 2 tunings"
+
+
+def test_cold_pairwise_scan_folds_each_tuning_once(monkeypatch):
+    # the 44 pairwise categories of a cold scan, 2..12 tones of similarity
+    # and brefeld under just and rational, read one table of interval folds
+    # per tuning
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    builds = []
+    build = measures._interval_folds.__wrapped__
+
+    def counting(t):
+        builds.append(t.name)
+        return build(t)
+
+    monkeypatch.setattr(measures, "_interval_folds", cache(counting))
+    for t in (JUST, builtin_tuning("rational")):
+        for measure in ("similarity", "brefeld"):
+            for size in range(2, 13):
+                rank_table(t, measure, size)
+    assert len(builds) <= 2, "interval fold tables built by the 44 cold pairwise categories"
 
 
 # every module that calls ratio_for_semitone by its own global name
