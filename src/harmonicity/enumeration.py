@@ -8,23 +8,28 @@ orientation, breaking ties lexicographically by semitone tuple so output
 is byte-identical across runs.  A category is evaluated on ints, from one
 ``(numerator, denominator)`` table of the tuning, by the measures' column
 kernel, which shares ``evaluate_measure``'s definitions and equals it by
-``repr``, and a cold whole-octave column hands it every category not yet
-stored at once.  Every column one kernel pass returns is ranked and stored
-as one :class:`RankTable`: a whole-column query returns that table itself,
-and a top-N query a new table over a prefix of its rows.  A row is a
+``repr``.  Every column one kernel pass returns is ranked and stored as
+one :class:`RankTable`: a whole-column query returns that table itself,
+and a top-N query a new table over a prefix of its rows.  A cold
+whole-octave column hands the kernel all 2048 harmonies in lexicographic
+order at once; per measure, one stable sort by value gives the octave's
+order and one stable sort of that by tone count every category's, so
+ties stay lexicographic and no semitone tuple is compared.  The octave
+table and its 12 category tables share one set of rows.  A row is a
 :class:`RankedRow` named tuple, built from ``(rank, harmony, value)`` by one
-``map`` per category, with no Python call per row.
+``map`` per sorted order, with no Python call per row.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, partial
-from itertools import chain, combinations, count
+from itertools import chain, count
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import UsageError
-from .measures import MEASURES, _column_values, lookup_measure
+from .measures import MEASURES, _column_values, _tone_tuples, lookup_measure
 from .periodicity import Harmony
 from .tuning import TuningTable
 
@@ -49,10 +54,11 @@ def enumerate_harmonies(cardinality: int | None = None) -> Iterator[Harmony]:
     >>> [str(h) for h in enumerate_harmonies(1)]
     ['{0}']
     """
-    if cardinality is not None:
+    if cardinality is None:
+        yield from _octave()
+    else:
         _check_cardinality(cardinality)
-    sizes = (cardinality,) if cardinality is not None else range(1, 13)
-    yield from sorted(chain.from_iterable(map(_category, sizes)), key=lambda h: h.semitones)
+        yield from _category(cardinality)
 
 
 def _check_cardinality(cardinality: int) -> None:
@@ -65,8 +71,19 @@ def _check_cardinality(cardinality: int) -> None:
 @cache
 def _category(size: int) -> tuple[Harmony, ...]:
     """The octave's harmonies with ``size`` tones in lexicographic order,
-    built once and shared by enumerate_harmonies and every ranked column."""
-    return tuple(Harmony((0,) + rest) for rest in combinations(range(1, 12), size - 1))
+    built once and shared by enumerate_harmonies and every ranked column.
+    Their semitone tuples are the column kernel's tone-set keys."""
+    return tuple(map(Harmony, _tone_tuples(size)))
+
+
+@cache
+def _octave() -> tuple[Harmony, ...]:
+    """Every harmony of :func:`_category` in lexicographic order, so each
+    tone set comes after its prefixes: the one layout whose sort reads
+    semitones, built once and shared by enumerate_harmonies and every cold
+    whole-octave column."""
+    return tuple(sorted(chain.from_iterable(map(_category, range(1, 13))),
+                        key=lambda h: h.semitones))
 
 
 class RankedRow(NamedTuple):
@@ -102,11 +119,13 @@ class RankTable(NamedTuple):
 
 
 # One ranked table per (tuning, measure, cardinality), most consonant
-# first.  A category's columns are evaluated, sorted and numbered on first
-# use; the whole-octave table (cardinality None) evaluates every category
-# not yet stored in one kernel call, then is merged from the 12 category
-# tables and shares their rows.  A whole-column query returns the stored
-# table itself.
+# first.  A category query evaluates, sorts and numbers the columns of its
+# category on first use.  A whole-octave query (cardinality None) with no
+# category of its measure stored ranks every category and the octave of each
+# measure of one kernel pass; one with stored categories sorts their rows.
+# A pass stores the same categories for each of its measures, so no stored
+# table is replaced, and an octave table shares its categories' rows.  A
+# whole-column query returns the stored table itself.
 _COLUMNS: dict[tuple[TuningTable, str, int | None], RankTable] = {}
 
 # a row from its ``(rank, harmony, value)`` tuple and a table from its
@@ -118,6 +137,9 @@ _table = partial(tuple.__new__, RankTable)
 def _column(t: TuningTable, measure: str, cardinality: int | None) -> RankTable:
     sizes = range(1, 13) if cardinality is None else (cardinality,)
     missing = [size for size in sizes if (t, measure, size) not in _COLUMNS]
+    if cardinality is None and len(missing) == 12:
+        _rank_octave(t, measure)
+        return _COLUMNS[t, measure, None]
     if missing:
         harmonies = [h for size in missing for h in _category(size)]
         for name, values in _column_values(harmonies, measure, t).items():
@@ -133,13 +155,40 @@ def _column(t: TuningTable, measure: str, cardinality: int | None) -> RankTable:
                 _COLUMNS[t, name, size] = _table((t.name, name, size, rows))
                 start = stop
     if cardinality is None:
-        # the same order as each category's, so the merge keeps their ranks
-        orientation = MEASURES[measure].orientation
-        rows = tuple(sorted(
-            chain.from_iterable(_COLUMNS[t, measure, size].rows for size in sizes),
-            key=lambda row: (orientation * row.value, row.harmony.semitones)))
+        # the stored rows in lexicographic order, then one stable sort by value;
+        # every row holds one of the _category harmonies that _octave orders
+        rows = list(chain.from_iterable(_COLUMNS[t, measure, size].rows for size in sizes))
+        row_of = dict(zip(map(id, map(attrgetter("harmony"), rows)), rows))
+        rows = tuple(sorted(map(row_of.__getitem__, map(id, _octave())), key=attrgetter("value"),
+                            reverse=MEASURES[measure].orientation < 0))
         _COLUMNS[t, measure, None] = _table((t.name, measure, None, rows))
     return _COLUMNS[t, measure, cardinality]
+
+
+def _rank_octave(t: TuningTable, measure: str) -> None:
+    """Store every category table and the octave table of each measure of
+    ``measure``'s kernel pass, from one kernel call over the octave in
+    lexicographic order and two stable sorts per measure: by value, which
+    is the octave's order, then by tone count, which holds every category's.
+    Ties stay lexicographic through both, so no semitone tuple is compared."""
+    octave = _octave()
+    tone_counts = list(map(len, map(attrgetter("semitones"), octave)))
+    # the ranks of rows grouped by tone count: 1.. per category
+    ranks = list(chain.from_iterable(range(1, len(_category(size)) + 1) for size in range(1, 13)))
+    for name, values in _column_values(octave, measure, t).items():
+        order = sorted(range(len(octave)), key=values.__getitem__,
+                       reverse=MEASURES[name].orientation < 0)
+        grouped = sorted(order, key=tone_counts.__getitem__)
+        rows = tuple(map(_row, zip(
+            ranks, map(octave.__getitem__, grouped), map(values.__getitem__, grouped))))
+        start = 0
+        for size in range(1, 13):
+            stop = start + len(_category(size))
+            _COLUMNS[t, name, size] = _table((t.name, name, size, rows[start:stop]))
+            start = stop
+        row_at = dict(zip(grouped, rows))
+        rows = tuple(map(row_at.__getitem__, order))
+        _COLUMNS[t, name, None] = _table((t.name, name, None, rows))
 
 
 def rank_table(

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
@@ -232,14 +232,22 @@ def _octave_pairs(t: TuningTable) -> dict[int, tuple[int, int]]:
 
 
 @cache
+def _tone_tuples(size: int) -> tuple[tuple[int, ...], ...]:
+    """The one-octave tone sets of ``size`` tones, 0 and ``size - 1`` of
+    1..11 in ascending order, in lexicographic order.  These are the tuples
+    of every enumerated harmony and the keys of :func:`_tone_sets`, built
+    once per tone set."""
+    return tuple((0,) + rest for rest in combinations(range(1, 12), size - 1))
+
+
+@cache
 def _tone_sets() -> dict[tuple[int, ...], int]:
-    """The index of every one-octave tone set, 0 and a subset of 1..11 in
-    ascending order: tone n >= 1 is bit n - 1 of the index, so set
-    ``i + 2 ** (n - 1)`` is set ``i`` with the new top tone n."""
-    sets = [(0,)]
-    for n in range(1, 12):
-        sets += [s + (n,) for s in sets]
-    return dict(zip(sets, range(len(sets))))
+    """The index of every one-octave tone set of :func:`_tone_tuples`: tone
+    n >= 1 is bit n - 1 of the index, so set ``i + 2 ** (n - 1)`` is set
+    ``i`` with the new top tone n."""
+    bits = [2 ** (n - 1) for n in range(1, 12)]
+    return dict(chain.from_iterable(
+        zip(_tone_tuples(size), map(sum, combinations(bits, size - 1))) for size in range(1, 13)))
 
 
 @cache

@@ -7,9 +7,11 @@ are binomial coefficients by construction.
 
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 import pytest
 
@@ -43,6 +45,13 @@ DYAD_RANKING = [
     (5, (0, 3), 5.0), (6, (0, 8), 5.0), (7, (0, 6), 6.0), (8, (0, 10), 7.0),
     (9, (0, 11), 8.0), (10, (0, 2), 8.5), (11, (0, 1), 15.0),
 ]
+
+LCM_MEASURES = ["rel_periodicity", "log_periodicity", "gradus", "omega"]
+
+# the five tunings whose octave values TestColumnValues pins
+PINNED_TUNINGS = [*map(builtin_tuning, ("just", "pythagorean", "kirnberger3", "rational")),
+                  rational_tuning(0.001)]
+PINNED_IDS = ["just", "pythagorean", "kirnberger3", "rational", "rational-0.001"]
 
 # every column each measure's kernel pass returns: one pass for the four
 # lcm measures, one for the two pairwise measures
@@ -326,8 +335,8 @@ class TestRankedColumn:
             assert calls, partner
             calls.clear()
 
-    @pytest.mark.parametrize("tuning", [JUST, builtin_tuning("rational")], ids=["just", "rational"])
-    @pytest.mark.parametrize("name", ["rel_periodicity", "log_periodicity", "gradus", "omega"])
+    @pytest.mark.parametrize("tuning", PINNED_TUNINGS, ids=PINNED_IDS)
+    @pytest.mark.parametrize("name", LCM_MEASURES)
     def test_octave_column_is_equal_whatever_the_store_held(self, monkeypatch, name, tuning):
         def octave(stored_first):
             _empty_store(monkeypatch)
@@ -335,20 +344,33 @@ class TestRankedColumn:
                 rank_table(tuning, measure, size)
             return rank_table(tuning, name).rows
 
-        fresh = octave(())
+        # the referee: the 12 category tables ranked one by one, merged by
+        # (orientation * value, semitones)
+        _empty_store(monkeypatch)
         orientation = MEASURES[name].orientation
-        keys = [(orientation * row.value, row.harmony.semitones) for row in fresh]
-        assert keys == sorted(keys) and len(keys) == 2048
-        # some categories from each partner's query, then every category
-        for partner in sorted(PASS[name] - {name}):
-            assert octave([(partner, 3), (partner, 7)]) == fresh, partner
-        assert octave([(name, size) for size in range(1, 13)]) == fresh
+        referee = tuple(sorted(
+            chain.from_iterable(rank_table(tuning, name, size).rows for size in range(1, 13)),
+            key=lambda row: (orientation * row.value, row.harmony.semitones)))
+        assert len(referee) == 2048
+        assert octave(()) == referee
+        # some categories of the measure or of each partner, then every category
+        for measure in sorted(PASS[name]):
+            assert octave([(measure, 3), (measure, 7)]) == referee, measure
+        assert octave([(name, size) for size in range(1, 13)]) == referee
 
-    # the five tunings whose octave values TestColumnValues pins
-    @pytest.mark.parametrize("tuning", [
-        *map(builtin_tuning, ("just", "pythagorean", "kirnberger3", "rational")),
-        rational_tuning(0.001),
-    ], ids=["just", "pythagorean", "kirnberger3", "rational", "rational-0.001"])
+    @pytest.mark.parametrize("stored_first", [(), (3, 7), tuple(range(1, 13))],
+                             ids=["none", "3-and-7", "all"])
+    def test_octave_rows_are_its_category_rows(self, monkeypatch, stored_first):
+        _empty_store(monkeypatch)
+        stored = {size: rank_table(JUST, "gradus", size) for size in stored_first}
+        octaves = {name: rank_table(JUST, name) for name in LCM_MEASURES}
+        for size, table in stored.items():
+            assert rank_table(JUST, "gradus", size) is table, size
+        for name, octave in octaves.items():
+            rows = {id(row) for size in range(1, 13) for row in rank_table(JUST, name, size).rows}
+            assert len(rows) == 2048 and {id(row) for row in octave.rows} == rows, name
+
+    @pytest.mark.parametrize("tuning", PINNED_TUNINGS, ids=PINNED_IDS)
     def test_pairwise_categories_are_equal_in_any_order(self, monkeypatch, tuning):
         # every category reads the tuning's one table of interval folds,
         # whichever category builds it
@@ -454,6 +476,16 @@ class TestRankedColumn:
         rows = rank_table(JUST, "gradus", 6).rows
         assert {id(h) for h in enumerate_harmonies(6)} == {id(row.harmony) for row in rows}
         assert not hasattr(rows[0], "__dict__")
+
+    def test_octave_enumeration_is_the_stored_layout(self):
+        harmonies = list(enumerate_harmonies())
+        assert len(harmonies) == 2048 and all(map(operator.is_, harmonies, enumeration._octave()))
+
+    def test_harmonies_share_the_kernel_tone_sets(self):
+        # one tuple per tone set: each harmony's semitones are a key of the
+        # index that the pairwise pass reads
+        keys = {id(tones) for tones in measures._tone_sets()}
+        assert {id(h.semitones) for h in enumerate_harmonies()} == keys and len(keys) == 2048
 
 
 class TestExactTieCensus:

@@ -2,7 +2,8 @@
 cannot leave a stale entry in an ``__all__``, every name the benchmark
 under ``perfbench/`` imports still exists, one module turns ratios into
 integer pairs, one states the oracle's float domain, the oracle looks up
-ratios in one function, and ``reproduce`` builds its checks in two places."""
+ratios in one function, ``reproduce`` builds its checks in two places, and
+only the lexicographic layout of the octave sorts on semitones."""
 
 import ast
 import importlib
@@ -80,6 +81,32 @@ def test_oracle_looks_up_ratios_only_in_its_float_table():
     outside = [node.lineno for node in named if id(node) not in inside]
     assert named and outside == [], (
         f"signal_oracle.py names a ratio lookup outside _float_ratios on lines {outside}")
+
+
+def test_only_the_lexicographic_layout_sorts_on_semitones():
+    # ranked rows sort on values alone and keep the lexicographic order of
+    # enumeration._octave for ties, so comparing semitone tuples is that
+    # layout's one sort; a key named at module level counts as its value
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text(encoding="utf-8"))
+    bound = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+
+    def reads_semitones(expression):
+        return any(isinstance(node, ast.Attribute) and node.attr == "semitones"
+                   or isinstance(node, ast.Constant) and node.value == "semitones"
+                   or isinstance(node, ast.Name) and node.id in bound
+                   and reads_semitones(bound[node.id])
+                   for node in ast.walk(expression))
+
+    layout = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_octave")
+    inside = {id(node) for node in ast.walk(layout)}
+    keys = [keyword.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for keyword in node.keywords if keyword.arg == "key"]
+    reading = [key for key in keys if reads_semitones(key)]
+    outside = [key.lineno for key in reading if id(key) not in inside]
+    assert keys and len(reading) == 1 and outside == [], (
+        f"enumeration.py sorts on semitones outside _octave on lines {outside}")
 
 
 def test_pairwise_terms_are_written_once():

@@ -278,6 +278,48 @@ def test_cold_octave_lcm_columns_are_one_pass(monkeypatch, first):
         f"kernel calls and prefix-state passes of the four cold lcm octave columns, {first} first")
 
 
+def counted_sorts(monkeypatch):
+    """Count the ``sorted`` calls of ``enumeration``, after building its
+    lexicographic layout, which each process sorts once."""
+    enumeration._octave()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "sorted", counting, raising=False)
+    return calls
+
+
+def test_cold_lcm_octaves_sort_twice_per_measure(monkeypatch):
+    # the first octave's pass ranks all four measures, each by value and then
+    # by tone count, and stores its siblings' octaves
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    sorts = counted_sorts(monkeypatch)
+    kernel_calls = counted(monkeypatch, enumeration, "_column_values")
+    rank_table(JUST, "gradus")
+    assert (len(sorts), len(kernel_calls)) == (8, 1), (
+        "sorts and kernel calls of a cold gradus octave under just")
+    sorts.clear()
+    kernel_calls.clear()
+    for measure in ("rel_periodicity", "log_periodicity", "omega"):
+        rank_table(JUST, measure)
+    assert (len(sorts), len(kernel_calls)) == (0, 0), (
+        "sorts and kernel calls of the three sibling octaves")
+
+
+def test_octave_of_stored_categories_is_one_sort(monkeypatch):
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    for size in range(1, 13):
+        rank_table(JUST, "gradus", size)
+    sorts = counted_sorts(monkeypatch)
+    kernel_calls = counted(monkeypatch, enumeration, "_column_values")
+    rank_table(JUST, "gradus")
+    assert (len(sorts), len(kernel_calls)) == (1, 0), (
+        "sorts and kernel calls of a gradus octave with its 12 categories stored")
+
+
 @pytest.mark.parametrize("measure", ["rel_periodicity", "gradus"])
 @pytest.mark.parametrize("cardinality, budget", [(3, 66), (12, 12)])
 def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, budget, measure):
