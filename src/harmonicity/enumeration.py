@@ -10,21 +10,22 @@ is byte-identical across runs.  A category is evaluated on ints, from one
 kernel, which shares ``evaluate_measure``'s definitions and equals it by
 ``repr``.  Every column one kernel pass returns is ranked and stored as
 one :class:`RankTable`: a whole-column query returns that table itself,
-and a top-N query a new table over a prefix of its rows.  A cold
-whole-octave column hands the kernel all 2048 harmonies in lexicographic
-order at once; per measure, one stable sort by value gives the octave's
-order and one stable sort of that by tone count every category's, so
-ties stay lexicographic and no semitone tuple is compared.  The octave
-table and its 12 category tables share one set of rows.  A row is a
-:class:`RankedRow` named tuple, built from ``(rank, harmony, value)`` by one
-``map`` per sorted order, with no Python call per row.
+and a top-N query a new table over a prefix of its rows.  The categories a
+query needs and the store lacks take one kernel call over their harmonies
+in lexicographic order; per measure, one stable sort by value, then one
+stable sort of that by tone count, gives every category's order, so ties
+stay lexicographic and no semitone tuple is compared.  For all 12 the
+value order is the octave's.  An octave table and its 12 category tables
+share one set of rows.  A row is a :class:`RankedRow` named tuple, built
+from ``(rank, harmony, value)`` by one ``map`` per measure, with no Python
+call per row.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, partial
-from itertools import chain, count
+from itertools import chain
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
@@ -119,10 +120,9 @@ class RankTable(NamedTuple):
 
 
 # One ranked table per (tuning, measure, cardinality), most consonant
-# first.  A category query evaluates, sorts and numbers the columns of its
-# category on first use.  A whole-octave query (cardinality None) with no
-# category of its measure stored ranks every category and the octave of each
-# measure of one kernel pass; one with stored categories sorts their rows.
+# first.  A query ranks the categories it needs that are not stored, for
+# each measure of one kernel pass, and the octave with them when none of its
+# categories was stored; an octave of stored categories sorts their rows.
 # A pass stores the same categories for each of its measures, so no stored
 # table is replaced, and an octave table shares its categories' rows.  A
 # whole-column query returns the stored table itself.
@@ -137,58 +137,52 @@ _table = partial(tuple.__new__, RankTable)
 def _column(t: TuningTable, measure: str, cardinality: int | None) -> RankTable:
     sizes = range(1, 13) if cardinality is None else (cardinality,)
     missing = [size for size in sizes if (t, measure, size) not in _COLUMNS]
-    if cardinality is None and len(missing) == 12:
-        _rank_octave(t, measure)
-        return _COLUMNS[t, measure, None]
     if missing:
-        harmonies = [h for size in missing for h in _category(size)]
-        for name, values in _column_values(harmonies, measure, t).items():
-            descending = MEASURES[name].orientation < 0
-            start = 0
-            for size in missing:
-                stop = start + len(_category(size))
-                # a category is in lexicographic order and the sort is stable,
-                # so ties stay in that order, reversed or not
-                order = sorted(range(start, stop), key=values.__getitem__, reverse=descending)
-                rows = tuple(map(_row, zip(
-                    count(1), map(harmonies.__getitem__, order), map(values.__getitem__, order))))
-                _COLUMNS[t, name, size] = _table((t.name, name, size, rows))
-                start = stop
-    if cardinality is None:
-        # the stored rows in lexicographic order, then one stable sort by value;
-        # every row holds one of the _category harmonies that _octave orders
+        _rank(t, measure, missing)
+    table = _COLUMNS.get((t, measure, cardinality))
+    if table is None:
+        # the octave of categories stored before: their rows in lexicographic
+        # order, then one stable sort by value; every row holds one of the
+        # _category harmonies that _octave orders
         rows = list(chain.from_iterable(_COLUMNS[t, measure, size].rows for size in sizes))
         row_of = dict(zip(map(id, map(attrgetter("harmony"), rows)), rows))
         rows = tuple(sorted(map(row_of.__getitem__, map(id, _octave())), key=attrgetter("value"),
                             reverse=MEASURES[measure].orientation < 0))
-        _COLUMNS[t, measure, None] = _table((t.name, measure, None, rows))
-    return _COLUMNS[t, measure, cardinality]
+        table = _COLUMNS[t, measure, None] = _table((t.name, measure, None, rows))
+    return table
 
 
-def _rank_octave(t: TuningTable, measure: str) -> None:
-    """Store every category table and the octave table of each measure of
-    ``measure``'s kernel pass, from one kernel call over the octave in
-    lexicographic order and two stable sorts per measure: by value, which
-    is the octave's order, then by tone count, which holds every category's.
-    Ties stay lexicographic through both, so no semitone tuple is compared."""
-    octave = _octave()
-    tone_counts = list(map(len, map(attrgetter("semitones"), octave)))
+def _rank(t: TuningTable, measure: str, sizes: list[int]) -> None:
+    """Store the tables of the categories ``sizes``, ascending, for each
+    measure of ``measure``'s kernel pass, and the octave tables when
+    ``sizes`` is all 12: one kernel call over their harmonies in
+    lexicographic order, then per measure one stable sort by value, which is
+    the octave's order, and one of that by tone count, which holds every
+    category's.  Ties stay lexicographic through both, so no semitone tuple
+    is compared."""
+    octave = len(sizes) == 12
+    # a list, whose __getitem__ maps faster than a tuple's
+    harmonies = list(_octave() if octave else chain.from_iterable(map(_category, sizes)))
+    # one category's value order is already grouped by tone count
+    grouping = len(sizes) > 1
+    tone_counts = list(map(len, map(attrgetter("semitones"), harmonies))) if grouping else None
     # the ranks of rows grouped by tone count: 1.. per category
-    ranks = list(chain.from_iterable(range(1, len(_category(size)) + 1) for size in range(1, 13)))
-    for name, values in _column_values(octave, measure, t).items():
-        order = sorted(range(len(octave)), key=values.__getitem__,
+    ranks = list(chain.from_iterable(range(1, len(_category(size)) + 1) for size in sizes))
+    for name, values in _column_values(harmonies, measure, t).items():
+        order = sorted(range(len(harmonies)), key=values.__getitem__,
                        reverse=MEASURES[name].orientation < 0)
-        grouped = sorted(order, key=tone_counts.__getitem__)
+        grouped = sorted(order, key=tone_counts.__getitem__) if grouping else order
         rows = tuple(map(_row, zip(
-            ranks, map(octave.__getitem__, grouped), map(values.__getitem__, grouped))))
+            ranks, map(harmonies.__getitem__, grouped), map(values.__getitem__, grouped))))
         start = 0
-        for size in range(1, 13):
+        for size in sizes:
             stop = start + len(_category(size))
             _COLUMNS[t, name, size] = _table((t.name, name, size, rows[start:stop]))
             start = stop
-        row_at = dict(zip(grouped, rows))
-        rows = tuple(map(row_at.__getitem__, order))
-        _COLUMNS[t, name, None] = _table((t.name, name, None, rows))
+        if octave:
+            row_at = dict(zip(grouped, rows))
+            rows = tuple(map(row_at.__getitem__, order))
+            _COLUMNS[t, name, None] = _table((t.name, name, None, rows))
 
 
 def rank_table(

@@ -2,8 +2,9 @@
 cannot leave a stale entry in an ``__all__``, every name the benchmark
 under ``perfbench/`` imports still exists, one module turns ratios into
 integer pairs, one states the oracle's float domain, the oracle looks up
-ratios in one function, ``reproduce`` builds its checks in two places, and
-only the lexicographic layout of the octave sorts on semitones."""
+ratios in one function, ``reproduce`` builds its checks in two places,
+only the lexicographic layout of the octave sorts on semitones, and one
+routine ranks every cold column."""
 
 import ast
 import importlib
@@ -107,6 +108,20 @@ def test_only_the_lexicographic_layout_sorts_on_semitones():
     outside = [key.lineno for key in reading if id(key) not in inside]
     assert keys and len(reading) == 1 and outside == [], (
         f"enumeration.py sorts on semitones outside _octave on lines {outside}")
+
+
+def test_enumeration_ranks_cold_columns_in_one_place():
+    # a category and a whole octave go through one kernel call and one row
+    # construction, so the two can never rank ties differently
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    kernel = [node.lineno for node in calls
+              if isinstance(node.func, ast.Name) and node.func.id == "_column_values"]
+    rows = [node.lineno for node in calls
+            if isinstance(node.func, ast.Name) and node.func.id == "map"
+            and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "_row"]
+    assert (len(kernel), len(rows)) == (1, 1), (
+        f"enumeration.py calls _column_values on lines {kernel} and maps _row on lines {rows}")
 
 
 def test_pairwise_terms_are_written_once():

@@ -320,6 +320,30 @@ def test_octave_of_stored_categories_is_one_sort(monkeypatch):
         "sorts and kernel calls of a gradus octave with its 12 categories stored")
 
 
+def test_cold_category_sorts_once_per_measure(monkeypatch):
+    # one category's value order is already grouped by tone count
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    sorts = counted_sorts(monkeypatch)
+    kernel_calls = counted(monkeypatch, enumeration, "_column_values")
+    rank_table(JUST, "gradus", 7)
+    assert (len(sorts), len(kernel_calls)) == (4, 1), (
+        "sorts and kernel calls of a cold gradus category under just")
+
+
+def test_octave_of_some_stored_categories_ranks_the_rest_in_one_pass(monkeypatch):
+    # the 10 missing categories are one kernel call and two sorts per measure
+    # of the pass, then the octave is one sort of all 12 categories' rows
+    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    for size in (3, 7):
+        rank_table(JUST, "gradus", size)
+    sorts = counted_sorts(monkeypatch)
+    kernel_calls = counted(monkeypatch, enumeration, "_column_values")
+    rank_table(JUST, "gradus")
+    assert [len(harmonies) for harmonies, _, _ in kernel_calls] == [2048 - 55 - 462], (
+        "one _column_values call over the 10 categories not stored")
+    assert len(sorts) == 9, "sorts of a gradus octave with categories 3 and 7 stored"
+
+
 @pytest.mark.parametrize("measure", ["rel_periodicity", "gradus"])
 @pytest.mark.parametrize("cardinality, budget", [(3, 66), (12, 12)])
 def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, budget, measure):
