@@ -302,8 +302,6 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 def _regularized_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
     if x >= 1.0:
         return 1.0
     log_front = (

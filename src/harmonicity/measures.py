@@ -25,15 +25,16 @@ pairs: :func:`evaluate_measure` looks up what its tone set needs (the
 periodicity pair per view, through :func:`~harmonicity.periodicity.analyze`),
 and ``_column_values``, behind :mod:`harmonicity.enumeration`, reads offsets
 -11..11 from one pair table per tuning, looked up by its first pass.  It
-has two passes.  One yields both periodicity means, gradus and omega: it
-builds each harmony's lcms from those of its parent, the harmony without
-its highest tone, namely the 12 per-anchor lcms of denominators, which the
-same h' rescales into the views, and the lcm of numerators, whose product
-with anchor 0's lcm is the ratio product.  The other yields similarity and
-brefeld from one table of interval folds per tuning: for every one-octave
-tone set, the sum of its distances' similarity weights and the product of
-their Brefeld factors, each extending the folds of the set without its
-highest tone, so a harmony costs one division and one root.
+finds each harmony's one-octave tone set once, by an index in which the
+set without the highest tone, its parent, is the index without its top
+bit, and has two passes.  One yields both periodicity means, gradus and
+omega: it builds each set's lcms from its parent's, namely the 12
+per-anchor lcms of denominators, which the same h' rescales into the
+views, and the lcm of numerators, whose product with anchor 0's lcm is the
+ratio product.  The other yields similarity and brefeld from one table of
+interval folds per tuning: for every tone set, the sum of its distances'
+similarity weights and the product of their Brefeld factors, each
+extending its parent's folds, so a harmony costs one division and one root.
 """
 
 from __future__ import annotations
@@ -90,13 +91,11 @@ def _periodicity(tones: Sequence[int], t: TuningTable) -> AnalysisResult:
     return analyze(Harmony(tuple(sorted(set(tones)))), t)
 
 
-def _ratio_product(pairs: dict[int, tuple[int, int]], tones: Iterable[int]) -> int:
-    """``lcm(numerators) * lcm(denominators)`` of the tones' lowest-tone ratios."""
-    return math.lcm(*[pairs[n][0] for n in tones]) * math.lcm(*[pairs[n][1] for n in tones])
-
-
 def _factors(tones: Sequence[int], t: TuningTable) -> dict[int, int]:
-    return prime_factor_multiset(_ratio_product(_ratio_pairs(t, tones), tones))
+    """The prime factors of ``lcm(numerators) * lcm(denominators)`` of the
+    tones' lowest-tone ratios."""
+    numerators, denominators = zip(*_ratio_pairs(t, tones).values())
+    return prime_factor_multiset(math.lcm(*numerators) * math.lcm(*denominators))
 
 
 def _gradus_of(factors: dict[int, int]) -> int:
@@ -144,24 +143,20 @@ def _brefeld_of(product: int, count: int) -> float:
     return _root(product, 2 * count)
 
 
-def _similarity(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], float]:
+def _similarity(tones: Sequence[int], t: TuningTable) -> float:
     """Percentage similarity of a tone set's distances: the mean of each
     distance's ``(a + b - 1) / (a * b)``, summed over one common denominator."""
-    common, weights = _similarity_weights(pairs, _brefeld_factors(pairs))
-    return lambda distances: _similarity_of(sum(map(weights.__getitem__, distances)),
-                                            common, len(distances))
-
-
-def _brefeld(pairs: dict[int, tuple[int, int]]) -> Callable[[Sequence[int]], float]:
-    """Brefeld's value of a tone set's distances."""
-    factors = _brefeld_factors(pairs)
-    return lambda distances: _brefeld_of(math.prod(map(factors.__getitem__, distances)),
-                                         len(distances))
-
-
-def _pairwise(definition: Callable, tones: Sequence[int], t: TuningTable) -> float:
     distances = _distances(tones)
-    return definition(_ratio_pairs(t, distances))(distances)
+    pairs = _ratio_pairs(t, distances)
+    common, weights = _similarity_weights(pairs, _brefeld_factors(pairs))
+    return _similarity_of(sum(map(weights.__getitem__, distances)), common, len(distances))
+
+
+def _brefeld(tones: Sequence[int], t: TuningTable) -> float:
+    """Brefeld's value of a tone set's distances."""
+    distances = _distances(tones)
+    factors = _brefeld_factors(_ratio_pairs(t, distances))
+    return _brefeld_of(math.prod(map(factors.__getitem__, distances)), len(distances))
 
 
 #: Every computable measure by name, in the order the CLI lists them.
@@ -170,10 +165,10 @@ MEASURES: dict[str, Measure] = {
     for m in (
         Measure("rel_periodicity", lambda tones, t: _periodicity(tones, t).mean_h, 1),
         Measure("log_periodicity", lambda tones, t: _periodicity(tones, t).mean_log_h, 1),
-        Measure("similarity", lambda tones, t: _pairwise(_similarity, tones, t), -1),
+        Measure("similarity", _similarity, -1),
         Measure("gradus", lambda tones, t: _gradus_of(_factors(tones, t)), 1),
         Measure("omega", lambda tones, t: _omega_of(_factors(tones, t)), 1),
-        Measure("brefeld", lambda tones, t: _pairwise(_brefeld, tones, t), 1),
+        Measure("brefeld", _brefeld, 1),
     )
 }
 
@@ -202,24 +197,28 @@ def evaluate_measure(tones: Sequence[int], measure: str, t: TuningTable) -> floa
     46.67
     """
     compute = lookup_measure(measure).compute
-    if any(not isinstance(n, int) for n in tones):
+    if any(type(n) is not int for n in tones):  # a bool is no offset
         raise UsageError(f"tone offsets must be integers, got {tuple(tones)}")
     if not tones:
         raise UndefinedMeasureError("a measure needs at least one tone")
     return float(compute(tones, t))
 
 
-def _prefix_states(tones: Sequence[tuple[int, ...]], empty, extend: Callable) -> dict:
-    """``{s: state}`` for every tone set in ``tones`` and its prefixes, where
-    ``s``'s state is ``extend(state of s[:-1], s[-1])`` and ``()``'s is
-    ``empty``; each tone set extends its longest prefix already built."""
-    states = {(): empty}
-    for s in tones:
-        built = len(s) - 1
-        while (state := states.get(s[:built])) is None:
-            built -= 1
-        for i in range(built, len(s)):
-            state = states[s[:i + 1]] = extend(state, s[i])
+def _prefix_states(index: Iterable[int], root, extend: Callable) -> list:
+    """The state of every tone set in ``index``, at its index as in
+    :func:`_tone_sets`, and of its parents, None elsewhere: set 0, ``{0}``,
+    has state ``root``, and set i with top tone n has ``extend(state of i
+    without n's bit, n)``; each set walks down to the first parent built."""
+    states = [None] * 2 ** 11  # one slot per one-octave tone set
+    states[0] = root
+    for i in index:
+        missing = []
+        while states[i] is None:
+            missing.append(i)
+            i ^= 1 << i.bit_length() - 1
+        state = states[i]
+        for i in reversed(missing):
+            state = states[i] = extend(state, i.bit_length())
     return states
 
 
@@ -283,13 +282,14 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
     and brefeld from the harmony's two ints in the tuning's table of interval
     folds, or both periodicity means, gradus and omega from one lcm state
     per harmony, its views and one factorization per distinct ratio product,
-    from the tuning's pair table.  A harmony's lcm state extends that of the
-    harmony without its highest tone."""
+    from the tuning's pair table.  Both passes look each harmony up once in
+    :func:`_tone_sets`; by that index a harmony's lcm state extends that of
+    its parent, the set without its top tone's bit."""
     tones = [h.semitones for h in harmonies]
+    index = list(map(_tone_sets().__getitem__, tones))
     if measure in ("similarity", "brefeld"):
-        counts = list(map(_pair_count, map(len, tones)))  # a lone tone raises before any lookup
+        counts = list(map(_pair_count, map(len, tones)))  # a lone tone raises before the folds
         common, totals, products = _interval_folds(t)
-        index = list(map(_tone_sets().__getitem__, tones))
         return {"similarity": list(map(_similarity_of, map(totals.__getitem__, index),
                                        repeat(common), counts)),
                 "brefeld": list(map(_brefeld_of, map(products.__getitem__, index), counts))}
@@ -299,8 +299,8 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
     lowest = [pairs[-m] for m in range(12)]
     # per anchor m, the lcm of den(n - m) over the harmony's tones n, then
     # the lcm of their numerators num(n)
-    lcms = _prefix_states(tones, [1] * 13, lambda parent, n: list(map(math.lcm, parent, rows[n])))
-    states = list(map(lcms.__getitem__, tones))
+    lcms = _prefix_states(index, rows[0], lambda parent, n: list(map(math.lcm, parent, rows[n])))
+    states = list(map(lcms.__getitem__, index))
     means = [_means([_h_prime(state[m], lowest[m]) for m in s]) for s, state in zip(tones, states)]
     # lcm(numerators) * lcm(denominators); anchor 0 reads the lowest-tone ratios
     products = [state[12] * state[0] for state in states]

@@ -53,9 +53,11 @@ class Harmony:
     semitones: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.semitones, tuple):
+            raise UsageError(f"harmony offsets must be a tuple, got {self.semitones!r}")
         if len(self.semitones) < 1:
             raise UsageError("a harmony needs at least one tone")
-        if any(not isinstance(n, int) for n in self.semitones):
+        if any(type(n) is not int for n in self.semitones):  # a bool is no offset
             raise UsageError(f"harmony offsets must be integers, got {self.semitones}")
         if self.semitones[0] != 0:
             raise UsageError(

@@ -44,11 +44,6 @@ _MAX_LATTICE_CELLS = 2_000_000
 #: Lowest-tone periods that :func:`detect_period` scans unless told otherwise.
 _DEFAULT_HORIZON = 130.0
 
-#: Lags left at which :func:`detect_period`'s cascade stops filtering: the
-#: default horizon's lattice, so a call at that horizon takes the top-tone
-#: step alone.
-_FEW_LAGS = 130
-
 
 def _check_float_domain(f1: float, values: Iterable[float],
                         least: float = sys.float_info.min) -> None:
@@ -144,20 +139,21 @@ def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> flo
     one above the lowest, whose cosine is 1 at every lag: each step takes
     one tone's cosine at the lags left and keeps those where it is at least
     1/2, since at any other lag ``rho`` stays at least 1/4 below ``k/2``.
-    The cascade stops once at most ``_FEW_LAGS`` lags are left, so a call
-    at the default horizon takes the top-tone step alone, or after a step
-    that kept more than half of its lags; every tone's cosine is then taken
-    at the lags left.  Each further step thus runs on at most half the lags
-    of the one before, and a call takes no more than the full lattice's
-    ``horizon x (k + 1)`` cosines, the cost of a top tone whole octaves
-    above the lowest, which keeps every lag at its first step.  A horizon
-    whose lattice exceeds ``_MAX_LATTICE_CELLS``, or whose last lag or top
-    phase leaves the finite normal float range, raises :class:`UsageError`.
+    The cascade stops once no more lags are left than the default horizon
+    scans, so a call at that horizon takes the top-tone step alone, or
+    after a step that kept more than half of its lags; every tone's cosine
+    is then taken at the lags left.  Each further step thus runs on at most
+    half the lags of the one before, and a call takes no more than the full
+    lattice's ``horizon x (k + 1)`` cosines, the cost of a top tone whole
+    octaves above the lowest, which keeps every lag at its first step.  A
+    horizon whose lattice exceeds ``_MAX_LATTICE_CELLS``, or whose last lag
+    or top phase leaves the finite normal float range, raises
+    :class:`UsageError`.
 
     >>> detect_period(ToneStack((440.0, 550.0, 660.0))) == 4 / 440
     True
 
-    A horizon past ``_FEW_LAGS`` filters by several tones: the Kirnberger III
+    A horizon past the default filters by several tones: the Kirnberger III
     chromatic cluster repeats after 1440 lowest-tone periods.
 
     >>> from harmonicity import builtin_tuning
@@ -187,7 +183,7 @@ def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> flo
     for w in reversed(s.angular_frequencies[1:]):
         before = taus.size
         taus = taus[np.cos(taus * w) >= 0.5]
-        if taus.size <= _FEW_LAGS or 2 * taus.size > before:
+        if taus.size <= _DEFAULT_HORIZON or 2 * taus.size > before:
             break
     # the vectorized autocorrelation() at every lag the cascade lets through
     rho = 0.5 * np.cos(np.outer(taus, np.asarray(s.angular_frequencies))).sum(axis=1)

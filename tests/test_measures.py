@@ -367,6 +367,13 @@ class TestEvaluateMeasure:
         with pytest.raises(UsageError, match="must be integers"):
             evaluate_measure(tones, name, JUST)
 
+    @pytest.mark.parametrize("tones", [(0, True, 4), [False, 4]], ids=repr)
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_bool_offsets_are_usage_errors(self, name, tones):
+        # True is no tone 1: gradus would read (0, True, 4) as {0, 1, 4}
+        with pytest.raises(UsageError, match="must be integers"):
+            evaluate_measure(tones, name, JUST)
+
     @pytest.mark.parametrize("tones", [(4, 7), (7, 4, 4), (-3, 0, 4), (-12,)], ids=str)
     @pytest.mark.parametrize("name", ["rel_periodicity", "log_periodicity"])
     def test_periodicity_needs_a_lowest_tone_of_zero(self, name, tones):

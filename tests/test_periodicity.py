@@ -55,6 +55,18 @@ class TestHarmony:
         with pytest.raises(UsageError, match="must be integers"):
             Harmony(("0",))
 
+    @pytest.mark.parametrize("semitones", [[0, 4, 7], range(3)], ids=repr)
+    def test_semitones_must_be_a_tuple(self, semitones):
+        # a list would make an unhashable harmony, unequal to the tuple's
+        with pytest.raises(UsageError, match="must be a tuple"):
+            Harmony(semitones)
+
+    @pytest.mark.parametrize("semitones", [(0, True), (False, 4)], ids=repr)
+    def test_bool_offsets_are_rejected(self, semitones):
+        # True would print as {0,True} and compute as the tone 1
+        with pytest.raises(UsageError, match="must be integers"):
+            Harmony(semitones)
+
     def test_from_offsets_normalizes(self):
         assert Harmony.from_offsets([60, 64, 67]).semitones == (0, 4, 7)
         assert Harmony.from_offsets([7, 0, 4]).semitones == (0, 4, 7)

@@ -30,6 +30,27 @@ def brute_force_candidates(x: Fraction, p: Fraction) -> tuple[int, int, int]:
         den += 1
 
 
+def plain_walk(x: Fraction, p: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+    """``(mediants, result)`` of the Stern-Brocot walk that takes one mediant
+    at a time, without the search's jumped runs."""
+    lo, hi = (1 - p) * x, (1 + p) * x
+    left = Fraction(math.floor(x))
+    right = left + 1
+    for bound in (left, right):
+        if lo <= bound <= hi:
+            return (), bound
+    mediants = []
+    while True:
+        step = Fraction(left.numerator + right.numerator, left.denominator + right.denominator)
+        mediants.append(step)
+        if lo <= step <= hi:
+            return tuple(mediants), step
+        if step > hi:
+            right = step
+        else:
+            left = step
+
+
 class TestLcmMany:
     def test_examples(self):
         assert lcm_many([2, 4]) == 4
@@ -98,6 +119,22 @@ class TestApproximate:
 
     def test_half(self):
         assert approximate(0.5, 0.01).result == Fraction(1, 2)
+
+    def test_jumped_run_ending_on_the_interval_edge(self):
+        # x = 1/4, p = 1/3: the run 1/2, 1/3 towards 0 ends on (1 + p) * x
+        trace = approximate(Fraction(1, 4), Fraction(1, 3))
+        assert trace.mediants == (Fraction(1, 2), Fraction(1, 3))
+        assert trace.result == Fraction(1, 3)
+
+    @pytest.mark.parametrize("p", [Fraction(1, n) for n in (2, 3, 4, 5, 10, 100)], ids=str)
+    def test_jumped_runs_equal_the_plain_walk(self, p):
+        # every x = a/b in (0, 4) with b <= 24, exact, so that runs can end
+        # on either edge of the interval
+        for b in range(1, 25):
+            for a in range(1, 4 * b):
+                x = Fraction(a, b)
+                trace = approximate(x, p)
+                assert (trace.mediants, trace.result) == plain_walk(x, p), (x, p)
 
     def test_nonpositive_value_rejected(self):
         with pytest.raises(UsageError):

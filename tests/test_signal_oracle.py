@@ -320,8 +320,8 @@ class TestDetectPeriod:
 
     @pytest.mark.parametrize("tuning, h", [("kirnberger3", 1440), ("pythagorean", 124416)])
     def test_cascade_matches_full_lattice_on_chromatic_clusters(self, tuning, h):
-        # the lattices past _FEW_LAGS that filter by several tones: no
-        # period just short of h, then the full lattice's float
+        # the lattices past the default horizon's that filter by several
+        # tones: no period just short of h, then the full lattice's float
         stack = ToneStack.from_harmony(Harmony(tuple(range(12))), builtin_tuning(tuning), 440.0)
         periods = [detect_period(stack, horizon) for horizon in (h - 1, h, h + 2)]
         assert periods == [full_lattice_period(stack, horizon) for horizon in (h - 1, h, h + 2)]

@@ -5,11 +5,9 @@ Each bound is the count the path makes today.  A regression fails; a change
 that does less work passes, and tightens the bound.
 """
 
-import importlib.util
 import math
 import sys
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,15 +150,6 @@ def test_oracle_ratio_lookups(monkeypatch):
     assert sum(map(len, calls)) - warm <= 12, "ratio_for_semitone calls of a cold ToneStack.from_harmony"
 
 
-def benchmark_inputs():
-    """``perfbench/inputs.py``, the oracle cases the benchmark runs."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class CountingNumpy:
     """numpy as ``signal_oracle`` sees it, counting the elements passed to
     ``np.cos``."""
@@ -193,10 +182,10 @@ def top_tone_step_cosines(stack, horizon):
     return taus.size + kept * len(stack.frequencies)
 
 
-def test_default_horizon_oracle_cosines(monkeypatch, capsys):
+def test_default_horizon_oracle_cosines(monkeypatch, capsys, perfbench):
     # every default-horizon call the benchmark makes, through the API and
     # through the CLI, filters by the top tone alone
-    inputs = benchmark_inputs()
+    inputs = perfbench.inputs
     default = signal_oracle._DEFAULT_HORIZON
     stacks = [(ToneStack.from_harmony(Harmony(tones), builtin_tuning(name), inputs.DEFAULT_F1),
                horizon) for _, tones, name, horizon in inputs.ORACLE_FIXED if horizon == default]
@@ -345,7 +334,7 @@ def test_octave_of_some_stored_categories_ranks_the_rest_in_one_pass(monkeypatch
 
 
 @pytest.mark.parametrize("measure", ["rel_periodicity", "gradus"])
-@pytest.mark.parametrize("cardinality, budget", [(3, 66), (12, 12)])
+@pytest.mark.parametrize("cardinality, budget", [(3, 65), (12, 11)])
 def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, budget, measure):
     monkeypatch.setattr(enumeration, "_COLUMNS", {})
     built = []
