@@ -247,7 +247,7 @@ def significance(r: float, n: int) -> float:
     >>> round(significance(0.0, 10), 6)
     0.5
     """
-    if not isinstance(n, int) or n < 3:
+    if type(n) is not int or n < 3:
         raise UsageError(f"significance() needs n >= 3, got {n!r}")
     if not -1.0 <= r <= 1.0:
         raise UsageError(f"significance() needs r in [-1, 1], got {r!r}")

@@ -63,7 +63,7 @@ def enumerate_harmonies(cardinality: int | None = None) -> Iterator[Harmony]:
 
 
 def _check_cardinality(cardinality: int) -> None:
-    if not isinstance(cardinality, int) or isinstance(cardinality, bool):
+    if type(cardinality) is not int:  # a bool is no tone count
         raise UsageError(f"cardinality must be an integer, got {cardinality!r}")
     if not 1 <= cardinality <= 12:
         raise UsageError(f"cardinality must be in 1..12, got {cardinality!r}")
@@ -212,7 +212,7 @@ def rank_table(
     True
     """
     lookup_measure(measure)
-    if top is not None and (not isinstance(top, int) or isinstance(top, bool)):
+    if top is not None and type(top) is not int:
         raise UsageError(f"top must be an integer, got {top!r}")
     if top is not None and top < 1:
         raise UsageError(f"top must be >= 1, got {top!r}")

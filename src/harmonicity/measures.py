@@ -9,7 +9,7 @@ gives the name, the function and which direction is consonant.
   pairwise intervals, in percent; larger is more consonant.
 * ``gradus`` / ``omega`` — Euler's degree of softness and the prime-factor
   count (with multiplicity) of ``lcm(numerators) * lcm(denominators)`` of
-  the lowest-tone ratios.
+  the lowest-tone ratios, found by dividing it by the primes of its terms.
 * ``brefeld`` — geometric mean of all numerators and denominators of the
   pairwise intervals.
 
@@ -31,10 +31,11 @@ bit, and has two passes.  One yields both periodicity means, gradus and
 omega: it builds each set's lcms from its parent's, namely the 12
 per-anchor lcms of denominators, which the same h' rescales into the
 views, and the lcm of numerators, whose product with anchor 0's lcm is the
-ratio product.  The other yields similarity and brefeld from one table of
-interval folds per tuning: for every tone set, the sum of its distances'
-similarity weights and the product of their Brefeld factors, each
-extending its parent's folds, so a harmony costs one division and one root.
+ratio product, divided by the primes of the pair table's terms.  The
+other yields similarity and brefeld from one table of interval folds per
+tuning: for every tone set, the sum of its distances' similarity weights
+and the product of their Brefeld factors, each extending its parent's
+folds, so a harmony costs one division and one root.
 """
 
 from __future__ import annotations
@@ -91,20 +92,22 @@ def _periodicity(tones: Sequence[int], t: TuningTable) -> AnalysisResult:
     return analyze(Harmony(tuple(sorted(set(tones)))), t)
 
 
-def _factors(tones: Sequence[int], t: TuningTable) -> dict[int, int]:
-    """The prime factors of ``lcm(numerators) * lcm(denominators)`` of the
-    tones' lowest-tone ratios."""
+def _gradus_omega(product: int, primes: Iterable[int]) -> tuple[int, int]:
+    """Euler's gradus 1 + sum(m_i * (p_i - 1)) and omega sum(m_i) of
+    ``product``, prod(p_i ** m_i) over some of ``primes``."""
+    gradus = omega = 0
+    for p in primes:
+        while product % p == 0:
+            product, gradus, omega = product // p, gradus + p - 1, omega + 1
+    return 1 + gradus, omega
+
+
+def _factors(tones: Sequence[int], t: TuningTable) -> tuple[int, int]:
+    """Gradus and omega of ``lcm(numerators) * lcm(denominators)`` of the
+    tones' lowest-tone ratios, divided by the primes of those terms."""
     numerators, denominators = zip(*_ratio_pairs(t, tones).values())
-    return prime_factor_multiset(math.lcm(*numerators) * math.lcm(*denominators))
-
-
-def _gradus_of(factors: dict[int, int]) -> int:
-    # 1 + sum(m_i * (p_i - 1)) over the factorization prod(p_i ** m_i)
-    return 1 + sum(m * (p - 1) for p, m in factors.items())
-
-
-def _omega_of(factors: dict[int, int]) -> int:
-    return sum(factors.values())
+    primes = set().union(*map(prime_factor_multiset, {*numerators, *denominators}))
+    return _gradus_omega(math.lcm(*numerators) * math.lcm(*denominators), primes)
 
 
 def _brefeld_factors(pairs: dict[int, tuple[int, int]]) -> dict[int, int]:
@@ -166,8 +169,8 @@ MEASURES: dict[str, Measure] = {
         Measure("rel_periodicity", lambda tones, t: _periodicity(tones, t).mean_h, 1),
         Measure("log_periodicity", lambda tones, t: _periodicity(tones, t).mean_log_h, 1),
         Measure("similarity", _similarity, -1),
-        Measure("gradus", lambda tones, t: _gradus_of(_factors(tones, t)), 1),
-        Measure("omega", lambda tones, t: _omega_of(_factors(tones, t)), 1),
+        Measure("gradus", lambda tones, t: _factors(tones, t)[0], 1),
+        Measure("omega", lambda tones, t: _factors(tones, t)[1], 1),
         Measure("brefeld", _brefeld, 1),
     )
 }
@@ -281,15 +284,15 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
     for every measure of ``measure``'s pass, equal by ``repr``: similarity
     and brefeld from the harmony's two ints in the tuning's table of interval
     folds, or both periodicity means, gradus and omega from one lcm state
-    per harmony, its views and one factorization per distinct ratio product,
-    from the tuning's pair table.  Both passes look each harmony up once in
-    :func:`_tone_sets`; by that index a harmony's lcm state extends that of
-    its parent, the set without its top tone's bit."""
+    per harmony, its views and, per distinct ratio product, one division by
+    the primes of the pair table's terms.  Both passes look each harmony up
+    once in :func:`_tone_sets`; by that index a harmony's lcm state extends
+    that of its parent, the set without its top tone's bit."""
     tones = [h.semitones for h in harmonies]
     index = list(map(_tone_sets().__getitem__, tones))
     if measure in ("similarity", "brefeld"):
-        counts = list(map(_pair_count, map(len, tones)))  # a lone tone raises before the folds
         common, totals, products = _interval_folds(t)
+        counts = list(map(_pair_count, map(len, tones)))
         return {"similarity": list(map(_similarity_of, map(totals.__getitem__, index),
                                        repeat(common), counts)),
                 "brefeld": list(map(_brefeld_of, map(products.__getitem__, index), counts))}
@@ -304,10 +307,9 @@ def _column_values(harmonies: Sequence[Harmony], measure: str,
     means = [_means([_h_prime(state[m], lowest[m]) for m in s]) for s, state in zip(tones, states)]
     # lcm(numerators) * lcm(denominators); anchor 0 reads the lowest-tone ratios
     products = [state[12] * state[0] for state in states]
-    # few products recur (87 distinct of 2048 under just): factor each once
-    factors = {product: prime_factor_multiset(product) for product in set(products)}
-    gradus = {product: float(_gradus_of(f)) for product, f in factors.items()}
-    omega = {product: float(_omega_of(f)) for product, f in factors.items()}
+    # few products recur (87 distinct of 2048 under just): divide each once
+    primes = set().union(*map(prime_factor_multiset, set(chain.from_iterable(pairs.values()))))
+    factors = {p: tuple(map(float, _gradus_omega(p, primes))) for p in set(products)}
     return {"rel_periodicity": [rel for rel, _ in means],
             "log_periodicity": [log for _, log in means],
-            "gradus": [gradus[p] for p in products], "omega": [omega[p] for p in products]}
+            "gradus": [factors[p][0] for p in products], "omega": [factors[p][1] for p in products]}

@@ -48,7 +48,7 @@ def lcm_many(values: Iterable[int]) -> int:
     if not items:
         raise UsageError("lcm_many() needs at least one integer")
     for item in items:
-        if not isinstance(item, int) or item < 1:
+        if type(item) is not int or item < 1:
             raise UsageError(f"lcm_many() needs positive integers, got {item!r}")
     return math.lcm(*items)
 
@@ -61,18 +61,17 @@ def prime_factor_multiset(n: int) -> dict[int, int]:
     >>> prime_factor_multiset(120)
     {2: 3, 3: 1, 5: 1}
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise UsageError(f"prime_factor_multiset() needs a positive integer, got {n!r}")
     factors: dict[int, int] = {}
-    remaining = n
     divisor = 2
-    while divisor * divisor <= remaining:
-        while remaining % divisor == 0:
+    while divisor * divisor <= n:
+        while n % divisor == 0:
             factors[divisor] = factors.get(divisor, 0) + 1
-            remaining //= divisor
+            n //= divisor
         divisor += 1 if divisor == 2 else 2
-    if remaining > 1:
-        factors[remaining] = factors.get(remaining, 0) + 1
+    if n > 1:  # a prime above every divisor tried
+        factors[n] = 1
     return factors
 
 

@@ -80,8 +80,6 @@ class ToneStack:
     @classmethod
     def from_harmony(cls, h: Harmony, t: TuningTable, f1: float) -> "ToneStack":
         """Realize a harmony as pure tones with lowest frequency ``f1``."""
-        if f1 <= 0:
-            raise UsageError(f"reference frequency must be positive, got {f1!r}")
         ratios = _float_ratios(t)
         try:
             frequencies = tuple(f1 * (ratios[n % 12] * 2.0 ** (n // 12)) for n in h.semitones)

@@ -1,15 +1,23 @@
 """Shared fixtures."""
 
 import importlib.util
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import harmonicity
 from harmonicity.cli import main
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+
+#: Address space of a ``limited_cli`` child: room for numpy and the
+#: oracle's largest lattice, 130000 x 12 cells.
+CHILD_ADDRESS_SPACE = 1_500_000_000
 
 
 @pytest.fixture
@@ -23,6 +31,31 @@ def cli_stdout(capsys):
         out, err = capsys.readouterr()
         assert err == ""
         return out
+
+    return run
+
+
+@pytest.fixture
+def limited_cli():
+    """Run ``python -m harmonicity.cli ARGV...`` in a child process, from
+    this package's own source root, and return the completed process with
+    its text output.  The child alone runs under ``cpu_seconds`` of CPU
+    time and ``CHILD_ADDRESS_SPACE`` bytes of memory, set through
+    ``preexec_fn`` as ``RLIMIT_CPU`` and ``RLIMIT_AS``: past the first it is
+    killed by a signal, so its return code is negative, and past the second
+    an allocation fails."""
+
+    def run(*argv: str, cpu_seconds: int = 60) -> subprocess.CompletedProcess:
+        def limit() -> None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
+            resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+        return subprocess.run(
+            [sys.executable, "-m", "harmonicity.cli", *argv], capture_output=True, text=True,
+            # wall time stays generous: a loaded machine slows the child, not its CPU time
+            timeout=4 * cpu_seconds + 60, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": str(Path(harmonicity.__file__).parents[1])},
+        )
 
     return run
 

@@ -215,6 +215,18 @@ class TestRankCommand:
         assert code == 0
         assert out.splitlines()[1] == "1;0,7;2;1"
 
+    def test_fine_precision_finishes_within_a_cpu_cap(self, limited_cli):
+        # terms near 10**9 make ratio products of hundreds of digits, whose
+        # gradus and omega the lcm pass computes with the periodicity means;
+        # trial division of such a product ran past 40 s
+        proc = limited_cli("rank", "--tuning", "rational", "--precision", "1e-17",
+                           "--cardinality", "3", "--top", "1", cpu_seconds=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "measure log_periodicity, tuning rational, cardinality 3",
+            "    1  {0,8,9}                        54.1246",
+        ]
+
 
 # SHA-256 of every `rank --format csv` run's exit code and stdout per
 # (tuning flags, measure), taken from the Fraction-per-harmony ranking that
@@ -566,20 +578,10 @@ class TestOracleCommand:
         assert code == 0
         assert "f1 = 440.00 Hz" in out
 
-    def test_pythagorean_chromatic_within_address_space_cap(self):
+    def test_pythagorean_chromatic_within_address_space_cap(self, limited_cli):
         # h = 124416 lowest-tone periods; the lattice holds 130000 x 12 cells
-        import resource
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "harmonicity.cli", "oracle",
-             "--chord", "0,1,2,3,4,5,6,7,8,9,10,11", "--tuning", "pythagorean",
-             "--horizon", "130000"],
-            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
-            env={**os.environ, "PYTHONPATH": str(Path(harmonicity.__file__).parents[1])},
-        )
+        proc = limited_cli("oracle", "--chord", "0,1,2,3,4,5,6,7,8,9,10,11",
+                           "--tuning", "pythagorean", "--horizon", "130000")
         assert proc.returncode == 0, proc.stderr
         assert "h = 124416" in proc.stdout
         assert "(agree at" in proc.stdout
@@ -732,6 +734,10 @@ class TestErrorHandling:
          "error: pairwise-interval measures need at least two tones"),
         (["rank", "--measure", "similarity"],
          "error: pairwise-interval measures need at least two tones"),
+        # the tuning is checked before the lone tone {0}
+        (["rank", "--tuning", "equal", "--measure", "similarity"],
+         "error: tuning 'equal' has irrational ratios; period lengths need exact "
+         "fractions (pick a rational-valued tuning such as 'just' or 'rational')"),
     ], ids=["chord-token", "value-1/0", "value-abc", "value-1/-2", "oracle-f1-0",
             "oracle-f1-nan", "analyze-f1-0", "horizon-nan", "tolerance-negative",
             "approximate-budget", "chord-span-names", "chord-span-offsets",
@@ -741,7 +747,7 @@ class TestErrorHandling:
             "oracle-superscript", "chord-offset-digits", "approximate-tiny-fraction",
             "approximate-tiny-float", "approximate-below-budget", "value-inf",
             "value-nan", "note-octave-digits", "note-octave-underscore", "rank-equal",
-            "rank-pairwise-one-tone", "rank-pairwise-whole-octave"])
+            "rank-pairwise-one-tone", "rank-pairwise-whole-octave", "rank-equal-pairwise"])
     def test_domain_errors_exit_2_without_traceback(self, capsys, argv, message):
         try:
             code = main(argv)

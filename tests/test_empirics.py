@@ -277,6 +277,14 @@ class TestSignificance:
         with pytest.raises(UsageError, match="in \\[-1, 1\\]"):
             significance(1.5, 10)
 
+    def test_n_must_be_a_plain_int(self):
+        class Count(int):
+            pass
+
+        for n in (10.0, Count(10)):
+            with pytest.raises(UsageError, match=f"^significance\\(\\) needs n >= 3, got {n!r}$"):
+                significance(0.5, n)
+
     @settings(deadline=None)  # first example pays the scipy import
     @given(st.integers(-999, 999), st.integers(3, 60))
     def test_matches_student_t_tail(self, millis, n):

@@ -5,6 +5,7 @@ periodicities (the same oracle as the periodicity tests); category counts
 are binomial coefficients by construction.
 """
 
+import enum
 import json
 import math
 import operator
@@ -47,6 +48,16 @@ DYAD_RANKING = [
 ]
 
 LCM_MEASURES = ["rel_periodicity", "log_periodicity", "gradus", "omega"]
+
+
+class Size(enum.IntEnum):
+    """Int subclass members, which a count argument rejects: the stored
+    table's header would hold ``<Size.TRIAD: 3>`` and serve it to a later
+    query for 3."""
+
+    ONE = 1
+    TRIAD = 3
+
 
 # the five tunings whose octave values TestColumnValues pins
 PINNED_TUNINGS = [*map(builtin_tuning, ("just", "pythagorean", "kirnberger3", "rational")),
@@ -92,6 +103,12 @@ class TestEnumerateHarmonies:
             list(enumerate_harmonies(0))
         with pytest.raises(UsageError):
             list(enumerate_harmonies(13))
+
+    @pytest.mark.parametrize("cardinality", [True, 3.0, Size.TRIAD],
+                             ids=["bool", "float", "int-subclass"])
+    def test_cardinality_must_be_a_plain_int(self, cardinality):
+        with pytest.raises(UsageError, match=f"^cardinality must be an integer, got {cardinality!r}$"):
+            list(enumerate_harmonies(cardinality))
 
 
 class TestRankTable:
@@ -213,6 +230,15 @@ class TestRankTable:
     def test_non_integer_cardinality_or_top(self, monkeypatch, cardinality, top):
         monkeypatch.setattr(enumeration, "_COLUMNS", {})
         with pytest.raises(UsageError, match="must be an integer"):
+            rank_table(JUST, "gradus", cardinality, top)
+        assert enumeration._COLUMNS == {}
+
+    @pytest.mark.parametrize("cardinality, top", [(Size.TRIAD, None), (3, Size.ONE)],
+                             ids=["cardinality", "top"])
+    def test_int_subclass_cardinality_or_top(self, monkeypatch, cardinality, top):
+        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+        name, value = ("cardinality", cardinality) if top is None else ("top", top)
+        with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
             rank_table(JUST, "gradus", cardinality, top)
         assert enumeration._COLUMNS == {}
 
@@ -411,18 +437,20 @@ class TestRankedColumn:
         assert [row.harmony for row in rows] == expected
         assert [row.rank for row in rows] == list(range(1, 56))
 
-    # the pairwise pass rejects the lone tone {0} before it looks up the
-    # tuning's pairs, so the CLI names the missing tone, not the tuning
-    def test_lone_tone_error_comes_before_the_tuning_error(self, monkeypatch):
+    # both passes read the tuning's table before they count a harmony's
+    # tones, so under 'equal' the CLI names the tuning, not the lone tone
+    # {0}, which a pairwise measure also rejects; evaluate_measure still
+    # counts the tones first
+    def test_tuning_error_comes_before_the_lone_tone_error(self, monkeypatch):
         equal = builtin_tuning("equal")
         _empty_store(monkeypatch)
+        for cardinality in (None, 1):
+            for name in MEASURES:
+                with pytest.raises(TuningError, match="'equal' has irrational ratios"):
+                    rank_table(equal, name, cardinality)
+        assert enumeration._COLUMNS == {}
         with pytest.raises(UndefinedMeasureError, match="at least two tones"):
-            rank_table(equal, "similarity")
-        assert enumeration._COLUMNS == {}
-        for name in ("rel_periodicity", "log_periodicity", "gradus", "omega"):
-            with pytest.raises(TuningError, match="'equal' has irrational ratios"):
-                rank_table(equal, name)
-        assert enumeration._COLUMNS == {}
+            evaluate_measure((0,), "similarity", equal)
 
     def test_equal_tuning_objects_give_equal_rows(self):
         fresh, builtin = rational_tuning(0.01), builtin_tuning("rational")

@@ -474,6 +474,35 @@ class TestColumnValues:
                         returned, size)
 
 
+# bounds finer than any built-in table: their terms reach 3100 and 104878,
+# so a ratio product's primes can be far larger than any built-in tuning's
+FINE_TUNINGS = {"rational-1e-06": 1e-6, "rational-1e-09": 1e-9}
+
+
+@pytest.mark.parametrize("tuning_id", FINE_TUNINGS)
+def test_fine_bound_gradus_and_omega_equal_trial_division(tuning_id):
+    # the referee factors each distinct ratio product by trial division, as
+    # reference_factors does; evaluate_measure and the column kernel divide
+    # it by the primes of their terms alone
+    t = rational_tuning(FINE_TUNINGS[tuning_id])
+    harmonies = list(enumerate_harmonies())
+    factored = {}
+    expected = {"gradus": [], "omega": []}
+    for h in harmonies:
+        ratios = [ratio_for_semitone(t, n) for n in h.semitones]
+        product = (math.lcm(*[r.numerator for r in ratios])
+                   * math.lcm(*[r.denominator for r in ratios]))
+        if product not in factored:
+            factored[product] = prime_factor_multiset(product)
+        factors = factored[product]
+        expected["gradus"].append(1 + sum(m * (p - 1) for p, m in factors.items()))
+        expected["omega"].append(sum(factors.values()))
+    columns = measures._column_values(harmonies, "gradus", t)
+    for name, values in expected.items():
+        assert [evaluate_measure(h.semitones, name, t) for h in harmonies] == values, name
+        assert columns[name] == values, name
+
+
 # SHA-256 of the JSON list of `evaluate_measure` reprs of one tone set, every
 # measure under just, pythagorean, kirnberger3 and rational in that order, for
 # tone sets that no ranked column holds (duplicates, offsets beyond the

@@ -16,6 +16,10 @@ from harmonicity import (
 )
 
 
+class Count(int):
+    """An int subclass: the integer arguments take plain ints only."""
+
+
 def brute_force_candidates(x: Fraction, p: Fraction) -> tuple[int, int, int]:
     """(lowest numerator, highest numerator, denominator) of the fractions
     with the smallest possible denominator inside [(1-p)x, (1+p)x] — by
@@ -70,6 +74,12 @@ class TestLcmMany:
         with pytest.raises(UsageError):
             lcm_many([-3])
 
+    @pytest.mark.parametrize("item", [True, 3.0, Count(3)], ids=["bool", "float", "int-subclass"])
+    def test_only_a_plain_int_is_a_term(self, item):
+        # True would count as 1 and leave lcm_many([True, 3]) at 3
+        with pytest.raises(UsageError, match=f"^lcm_many\\(\\) needs positive integers, got {item!r}$"):
+            lcm_many([item, 3])
+
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=6))
     def test_is_common_multiple_and_minimal(self, values):
         result = lcm_many(values)
@@ -89,6 +99,13 @@ class TestPrimeFactorMultiset:
     def test_nonpositive_rejected(self):
         with pytest.raises(UsageError):
             prime_factor_multiset(0)
+
+    @pytest.mark.parametrize("n", [True, 12.0, Count(12)], ids=["bool", "float", "int-subclass"])
+    def test_only_a_plain_int_is_factored(self, n):
+        # True would factor as 1, into the empty map
+        with pytest.raises(UsageError, match=(
+                f"^prime_factor_multiset\\(\\) needs a positive integer, got {n!r}$")):
+            prime_factor_multiset(n)
 
     @given(st.integers(1, 100000))
     def test_reconstructs(self, n):

@@ -130,8 +130,10 @@ class TestToneStack:
         assert stack.frequencies == (440.0, 550.0, 660.0)
 
     def test_from_harmony_rejects_bad_reference(self):
-        with pytest.raises(UsageError):
-            ToneStack.from_harmony(Harmony((0, 7)), JUST, 0.0)
+        # the stack checks its own frequencies, the lowest of which is f1
+        for f1 in (0.0, -440.0):
+            with pytest.raises(UsageError, match=f"^frequencies must be positive, got {f1!r}$"):
+                ToneStack.from_harmony(Harmony((0, 7)), JUST, f1)
 
     @pytest.mark.parametrize("tuning", RATIONAL_TUNINGS)
     def test_from_harmony_matches_fraction_ratios(self, tuning):

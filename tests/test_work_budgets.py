@@ -237,10 +237,14 @@ def test_oracle_cosines_never_exceed_the_top_tone_step(monkeypatch, harmony, hor
 
 def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
     monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    calls = counted(monkeypatch, measures, "prime_factor_multiset")
+    products = counted(monkeypatch, measures, "_gradus_omega")
+    terms = counted(monkeypatch, measures, "prime_factor_multiset")
     for size in range(1, 13):
         rank_table(JUST, "gradus", size)
-    assert len(calls) <= 262, "prime_factor_multiset calls of the 12 cold gradus columns under just"
+    assert len(products) <= 262, "ratio products divided by the 12 cold gradus columns under just"
+    # no product is factored: each pass factors the 12 distinct terms of the pair table
+    assert len(terms) <= 12 * 12, "prime_factor_multiset calls of the 12 cold gradus columns"
+    assert max(n for (n,) in terms) <= 16, "a term of just's pair table, not a product"
 
 
 def test_cold_octave_column_is_one_kernel_call(monkeypatch):
