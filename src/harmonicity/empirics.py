@@ -166,10 +166,16 @@ def load_dataset(dataset_id: str) -> EmpiricalDataset:
         try:
             semitones = tuple(int(s) for s in cells[1].split(","))
             empirical = float(cells[2])
-            for name, cell in zip(schema, cells[3:]):
-                columns[name].append(float(cell) if cell else None)
+            row = [float(cell) if cell else None for cell in cells[3:]]
         except ValueError as exc:
             raise DataError(f"dataset {dataset_id!r} line {number}: {exc}") from exc
+        # float() also reads 'nan' and 'inf', which no statistic can rank
+        for name, value in zip(("empirical", *schema), (empirical, *row)):
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"dataset {dataset_id!r} line {number}: column {name!r} "
+                                f"must be a finite number, got {value!r}")
+        for name, value in zip(schema, row):
+            columns[name].append(value)
         if semitones[0] != 0:
             raise DataError(
                 f"dataset {dataset_id!r} line {number}: offsets must start at 0"
@@ -205,6 +211,8 @@ def rank_with_ties(values: Sequence[float]) -> list[float]:
     """
     if not values:
         raise UsageError("rank_with_ties() needs at least one value")
+    if not all(map(math.isfinite, values)):
+        raise UsageError("rank_with_ties() needs finite values")
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     start = 0
@@ -224,6 +232,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 3:
         raise UsageError(f"pearson() needs at least 3 points, got {n}")
+    if not all(map(math.isfinite, (*x, *y))):
+        raise UsageError("pearson() needs finite values")
     if min(x) == max(x) or min(y) == max(y):
         raise UsageError("pearson() is undefined for zero-variance input")
     mean_x = math.fsum(x) / n

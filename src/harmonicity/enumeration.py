@@ -10,13 +10,14 @@ is byte-identical across runs.  A category is evaluated on ints, from one
 kernel, which shares ``evaluate_measure``'s definitions and equals it by
 ``repr``.  Every column one kernel pass returns is ranked and stored as
 one :class:`RankTable`: a whole-column query returns that table itself,
-and a top-N query a new table over a prefix of its rows.  The categories a
-query needs and the store lacks take one kernel call over their harmonies
-in lexicographic order; per measure, one stable sort by value, then one
-stable sort of that by tone count, gives every category's order, so ties
-stay lexicographic and no semitone tuple is compared.  For all 12 the
-value order is the octave's.  An octave table and its 12 category tables
-share one set of rows.  A row is a :class:`RankedRow` named tuple, built
+and a top-N query a new table over a prefix of its rows.  A query the
+store lacks takes one kernel call, over its category or, for the whole
+octave, over all 12 categories in lexicographic order; per measure, one
+stable sort by value gives the column's order, and for the octave one
+stable sort of that by tone count gives every category's, so ties stay
+lexicographic and no semitone tuple is compared.  No pass replaces a
+stored table, and an octave table shares its rows with the category
+tables its pass stores.  A row is a :class:`RankedRow` named tuple, built
 from ``(rank, harmony, value)`` by one ``map`` per measure, with no Python
 call per row.
 """
@@ -120,11 +121,10 @@ class RankTable(NamedTuple):
 
 
 # One ranked table per (tuning, measure, cardinality), most consonant
-# first.  A query ranks the categories it needs that are not stored, for
-# each measure of one kernel pass, and the octave with them when none of its
-# categories was stored; an octave of stored categories sorts their rows.
-# A pass stores the same categories for each of its measures, so no stored
-# table is replaced, and an octave table shares its categories' rows.  A
+# first.  A query the store lacks makes one kernel pass, over its category
+# or over the whole octave, and stores the tables of every measure of that
+# pass.  Each is stored through setdefault, so no pass replaces a stored
+# table and a table returned once is the same object later.  A
 # whole-column query returns the stored table itself.
 _COLUMNS: dict[tuple[TuningTable, str, int | None], RankTable] = {}
 
@@ -134,55 +134,37 @@ _row = partial(tuple.__new__, RankedRow)
 _table = partial(tuple.__new__, RankTable)
 
 
-def _column(t: TuningTable, measure: str, cardinality: int | None) -> RankTable:
-    sizes = range(1, 13) if cardinality is None else (cardinality,)
-    missing = [size for size in sizes if (t, measure, size) not in _COLUMNS]
-    if missing:
-        _rank(t, measure, missing)
-    table = _COLUMNS.get((t, measure, cardinality))
-    if table is None:
-        # the octave of categories stored before: their rows in lexicographic
-        # order, then one stable sort by value; every row holds one of the
-        # _category harmonies that _octave orders
-        rows = list(chain.from_iterable(_COLUMNS[t, measure, size].rows for size in sizes))
-        row_of = dict(zip(map(id, map(attrgetter("harmony"), rows)), rows))
-        rows = tuple(sorted(map(row_of.__getitem__, map(id, _octave())), key=attrgetter("value"),
-                            reverse=MEASURES[measure].orientation < 0))
-        table = _COLUMNS[t, measure, None] = _table((t.name, measure, None, rows))
-    return table
-
-
-def _rank(t: TuningTable, measure: str, sizes: list[int]) -> None:
-    """Store the tables of the categories ``sizes``, ascending, for each
-    measure of ``measure``'s kernel pass, and the octave tables when
-    ``sizes`` is all 12: one kernel call over their harmonies in
-    lexicographic order, then per measure one stable sort by value, which is
-    the octave's order, and one of that by tone count, which holds every
-    category's.  Ties stay lexicographic through both, so no semitone tuple
-    is compared."""
-    octave = len(sizes) == 12
+def _rank(t: TuningTable, measure: str, cardinality: int | None) -> None:
+    """Store the tables of one category, or for ``cardinality=None`` of the
+    octave and its 12 categories, for each measure of ``measure``'s kernel
+    pass: one kernel call over the harmonies in lexicographic order, then
+    per measure one stable sort by value, which is the column's order, and
+    for the octave one of that by tone count, which holds every category's.
+    Ties stay lexicographic through both, so no semitone tuple is
+    compared."""
+    octave = cardinality is None
+    sizes = range(1, 13) if octave else (cardinality,)
     # a list, whose __getitem__ maps faster than a tuple's
-    harmonies = list(_octave() if octave else chain.from_iterable(map(_category, sizes)))
-    # one category's value order is already grouped by tone count
-    grouping = len(sizes) > 1
-    tone_counts = list(map(len, map(attrgetter("semitones"), harmonies))) if grouping else None
+    harmonies = list(_octave() if octave else _category(cardinality))
+    tone_counts = list(map(len, map(attrgetter("semitones"), harmonies))) if octave else None
     # the ranks of rows grouped by tone count: 1.. per category
     ranks = list(chain.from_iterable(range(1, len(_category(size)) + 1) for size in sizes))
     for name, values in _column_values(harmonies, measure, t).items():
         order = sorted(range(len(harmonies)), key=values.__getitem__,
                        reverse=MEASURES[name].orientation < 0)
-        grouped = sorted(order, key=tone_counts.__getitem__) if grouping else order
+        # one category's value order is already grouped by tone count
+        grouped = sorted(order, key=tone_counts.__getitem__) if octave else order
         rows = tuple(map(_row, zip(
             ranks, map(harmonies.__getitem__, grouped), map(values.__getitem__, grouped))))
         start = 0
         for size in sizes:
             stop = start + len(_category(size))
-            _COLUMNS[t, name, size] = _table((t.name, name, size, rows[start:stop]))
+            _COLUMNS.setdefault((t, name, size), _table((t.name, name, size, rows[start:stop])))
             start = stop
         if octave:
             row_at = dict(zip(grouped, rows))
-            rows = tuple(map(row_at.__getitem__, order))
-            _COLUMNS[t, name, None] = _table((t.name, name, None, rows))
+            _COLUMNS.setdefault((t, name, None), _table(
+                (t.name, name, None, tuple(map(row_at.__getitem__, order)))))
 
 
 def rank_table(
@@ -220,7 +202,8 @@ def rank_table(
         _check_cardinality(cardinality)
     table = _COLUMNS.get((t, measure, cardinality))
     if table is None:
-        table = _column(t, measure, cardinality)
+        _rank(t, measure, cardinality)
+        table = _COLUMNS[t, measure, cardinality]
     if top is None:
         return table
     return _table((table.tuning, table.measure, table.cardinality, table.rows[:top]))
@@ -230,6 +213,8 @@ def top_share_count(category_size: int, fraction: float) -> int:
     """Number of front ranks that make up ``fraction`` of a category
     (at least one): e.g. the top 5% of 462 harmonies are ranks 1..23.
     """
+    if type(category_size) is not int:  # a bool is no size
+        raise UsageError(f"category_size must be an integer, got {category_size!r}")
     if category_size < 1:
         raise UsageError(f"category_size must be >= 1, got {category_size!r}")
     if not 0 < fraction <= 1:

@@ -106,7 +106,7 @@ def raw_periodicity(h: Harmony, t: TuningTable) -> int:
 def inversion_offsets(h: Harmony, i: int) -> tuple[int, ...]:
     """Semitone offsets of the harmony re-referenced to its ``i``-th tone
     (element ``i`` becomes 0, earlier elements negative)."""
-    if not 0 <= i < len(h):
+    if type(i) is not int or not 0 <= i < len(h):  # a bool is no index
         raise UsageError(f"inversion index {i} out of range for {h}")
     anchor = h.semitones[i]
     return tuple(n - anchor for n in h.semitones)
@@ -181,4 +181,6 @@ def fundamental_frequency(h: Harmony, t: TuningTable, f1: float) -> float:
     frequency ``f1``: the missing fundamental ``f1 / h``."""
     if f1 <= 0:
         raise UsageError(f"fundamental_frequency() needs f1 > 0, got {f1!r}")
+    if not math.isfinite(f1):
+        raise UsageError(f"fundamental_frequency() needs a finite f1, got {f1!r}")
     return f1 / raw_periodicity(h, t)

@@ -162,6 +162,8 @@ def ratio_for_semitone(t: TuningTable, n: int) -> Fraction:
     with floor-based mod/div, so e.g. ``n = -2`` gives ``ratios[10] / 2``
     and ``n = 16`` gives ``ratios[4] * 2``.
     """
+    if type(n) is not int:  # a bool is no offset
+        raise UsageError(f"semitone offset must be an integer, got {n!r}")
     if not t.is_rational:
         raise TuningError(
             f"tuning {t.name!r} has irrational ratios; period lengths need exact "
@@ -178,6 +180,6 @@ def _ratio_pairs(t: TuningTable, offsets: Iterable[int]) -> dict[int, tuple[int,
 
 def deviation(t: TuningTable, k: int) -> float:
     """Signed deviation of ``ratios[k]`` from equal temperament, in percent."""
-    if not 0 <= k <= 12:
+    if type(k) is not int or not 0 <= k <= 12:
         raise UsageError(f"deviation() needs a semitone in 0..12, got {k!r}")
     return (float(t.ratios[k]) / 2.0 ** (k / 12) - 1.0) * 100.0

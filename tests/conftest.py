@@ -5,12 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import harmonicity
+from harmonicity import enumeration, measures
 from harmonicity.cli import main
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
@@ -33,6 +35,22 @@ def cli_stdout(capsys):
         return out
 
     return run
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    """A callable that empties ``enumeration``'s ranked tables through
+    ``monkeypatch``, and with ``kernel=True`` also the column kernel's
+    per-tuning tables, so the next query ranks cold; the test's end
+    restores the stores it replaced."""
+
+    def empty(kernel: bool = False) -> None:
+        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+        if kernel:
+            for name in ("_octave_pairs", "_interval_folds"):
+                monkeypatch.setattr(measures, name, cache(getattr(measures, name).__wrapped__))
+
+    return empty
 
 
 @pytest.fixture

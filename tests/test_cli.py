@@ -491,6 +491,20 @@ class TestCorrelateCommand:
         assert code == 2
         assert "needs a tuning" in err
 
+    # float() reads 'nan' and 'inf'; the first triad's rating is 1.667
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_dataset_cell_exits_2(self, capsys, tmp_path, monkeypatch, cell):
+        text = resources.files("harmonicity").joinpath("data", "triads.csv").read_text(encoding="utf-8")
+        assert text.count(";1;1.667;") == 1
+        (tmp_path / "triads.csv").write_text(text.replace(";1;1.667;", f";1;{cell};"), encoding="utf-8")
+        monkeypatch.setenv("HARMONY_DATA_DIR", str(tmp_path))
+        code, out, err = run(capsys, ["correlate", "--dataset", "triads",
+                                      "--measure", "rel_periodicity", "--mode", "values"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: dataset 'triads' line 3: column 'rating' must be a finite number, got {cell}")
+        assert "Traceback" not in err
+
     def test_json(self, capsys):
         code, out, err = run(capsys, ["correlate", "--dataset", "triads",
                                       "--measure", "rel_periodicity",

@@ -135,6 +135,17 @@ class TestDataDirOverride:
         with pytest.raises(DataError, match="cannot read"):
             load_dataset("dyads")
 
+    # float() reads 'nan' and 'inf', which no statistic can rank
+    @pytest.mark.parametrize("row, column, value", [("unison;0,0;-inf;0.0019;", "empirical", "-inf"),
+                                                    ("unison;0,0;1;nan;", "roughness", "nan")])
+    def test_non_finite_cell(self, tmp_path, monkeypatch, row, column, value):
+        text = _packaged_text("dyads")
+        assert text.count("unison;0,0;1;0.0019;") == 1
+        self._write(tmp_path, monkeypatch, text.replace("unison;0,0;1;0.0019;", row))
+        with pytest.raises(DataError, match=f"^dataset 'dyads' line 3: column '{column}' "
+                                            f"must be a finite number, got {value}$"):
+            load_dataset("dyads")
+
     def test_empty_golden_cell(self, tmp_path, monkeypatch):
         text = _packaged_text("dyads").replace(";66.67;2.0\n", ";66.67;\n")
         self._write(tmp_path, monkeypatch, text)
@@ -205,6 +216,11 @@ class TestRankWithTies:
         with pytest.raises(UsageError):
             rank_with_ties([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value(self, bad):
+        with pytest.raises(UsageError, match="^rank_with_ties\\(\\) needs finite values$"):
+            rank_with_ties([1.0, bad, 0.5])
+
     @settings(deadline=None)  # first example pays the scipy import
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=40))
     def test_matches_scipy_average_ranking(self, values):
@@ -233,6 +249,13 @@ class TestPearson:
             pearson([1, 2], [1, 2])
         with pytest.raises(UsageError, match="zero-variance"):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("x, y", [([1, math.nan, 3], [1, 2, 3]), ([1, 2, 3], [1, 2, math.inf]),
+                                      ([-math.inf, 2, 3], [1, 2, 3])],
+                             ids=["x-nan", "y-inf", "x-minus-inf"])
+    def test_non_finite_value(self, x, y):
+        with pytest.raises(UsageError, match="^pearson\\(\\) needs finite values$"):
+            pearson(x, y)
 
     def test_underflowing_variance(self):
         # the values differ, but their squared deviations underflow to 0

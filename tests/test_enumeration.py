@@ -11,7 +11,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 
 import pytest
@@ -70,13 +69,6 @@ PASS = {name: columns
         for columns in ({"rel_periodicity", "log_periodicity", "gradus", "omega"},
                         {"similarity", "brefeld"})
         for name in columns}
-
-
-def _empty_store(monkeypatch):
-    """Empty the ranked columns and the column kernel's per-tuning tables."""
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    for name in ("_octave_pairs", "_interval_folds"):
-        monkeypatch.setattr(measures, name, cache(getattr(measures, name).__wrapped__))
 
 
 class TestEnumerateHarmonies:
@@ -227,16 +219,16 @@ class TestRankTable:
     @pytest.mark.parametrize("cardinality, top", [
         (2.0, None), (3, 2.5), ("3", None), (True, None), (False, None), (2, True), (None, False),
     ])
-    def test_non_integer_cardinality_or_top(self, monkeypatch, cardinality, top):
-        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    def test_non_integer_cardinality_or_top(self, empty_store, cardinality, top):
+        empty_store()
         with pytest.raises(UsageError, match="must be an integer"):
             rank_table(JUST, "gradus", cardinality, top)
         assert enumeration._COLUMNS == {}
 
     @pytest.mark.parametrize("cardinality, top", [(Size.TRIAD, None), (3, Size.ONE)],
                              ids=["cardinality", "top"])
-    def test_int_subclass_cardinality_or_top(self, monkeypatch, cardinality, top):
-        monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    def test_int_subclass_cardinality_or_top(self, empty_store, cardinality, top):
+        empty_store()
         name, value = ("cardinality", cardinality) if top is None else ("top", top)
         with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
             rank_table(JUST, "gradus", cardinality, top)
@@ -287,7 +279,7 @@ class TestRankedColumn:
                 assert rows == tuple(row for row in full if len(row.harmony) == size)
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, empty_store, monkeypatch):
         """Empty the store and record the size of every category the column
         kernel evaluates."""
         calls = []
@@ -296,7 +288,7 @@ class TestRankedColumn:
             calls.append(len(harmonies))
             return measures._column_values(harmonies, measure, t)
 
-        _empty_store(monkeypatch)
+        empty_store(kernel=True)
         monkeypatch.setattr(enumeration, "_column_values", counting)
         return calls
 
@@ -307,13 +299,8 @@ class TestRankedColumn:
         assert rank_table(JUST, "gradus", 4, top=3).rows == first.rows[:3]
         assert rank_table(JUST, "gradus", 4).rows == first.rows
         assert calls == []
-        for size in range(1, 13):
-            rank_table(JUST, "omega", size)
-        calls.clear()
-        assert len(rank_table(JUST, "omega").rows) == 2048
-        assert calls == []
 
-    def test_cold_column_looks_up_each_offset_once(self, monkeypatch):
+    def test_cold_column_looks_up_each_offset_once(self, empty_store, monkeypatch):
         # one pair table per tuning: the first cold column under a tuning
         # looks up each offset -11..11 once, and no later cold column any
         looked_up = []
@@ -324,18 +311,18 @@ class TestRankedColumn:
 
         monkeypatch.setattr("harmonicity.tuning.ratio_for_semitone", counting)
         for name in MEASURES:
-            _empty_store(monkeypatch)
+            empty_store(kernel=True)
             looked_up.clear()
             rank_table(JUST, name, 7)
             assert sorted(looked_up) == list(range(-11, 12)), name
             looked_up.clear()
             for measure in MEASURES:
                 pairwise = measure in ("similarity", "brefeld")
-                monkeypatch.setattr(enumeration, "_COLUMNS", {})
+                empty_store()
                 for size in range(2 if pairwise else 1, 13):
                     rank_table(JUST, measure, size)
                 if not pairwise:
-                    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+                    empty_store()
                     rank_table(JUST, measure)
             assert looked_up == [], name
 
@@ -363,16 +350,16 @@ class TestRankedColumn:
 
     @pytest.mark.parametrize("tuning", PINNED_TUNINGS, ids=PINNED_IDS)
     @pytest.mark.parametrize("name", LCM_MEASURES)
-    def test_octave_column_is_equal_whatever_the_store_held(self, monkeypatch, name, tuning):
+    def test_octave_column_is_equal_whatever_the_store_held(self, empty_store, name, tuning):
         def octave(stored_first):
-            _empty_store(monkeypatch)
+            empty_store(kernel=True)
             for measure, size in stored_first:
                 rank_table(tuning, measure, size)
             return rank_table(tuning, name).rows
 
         # the referee: the 12 category tables ranked one by one, merged by
         # (orientation * value, semitones)
-        _empty_store(monkeypatch)
+        empty_store(kernel=True)
         orientation = MEASURES[name].orientation
         referee = tuple(sorted(
             chain.from_iterable(rank_table(tuning, name, size).rows for size in range(1, 13)),
@@ -386,24 +373,43 @@ class TestRankedColumn:
 
     @pytest.mark.parametrize("stored_first", [(), (3, 7), tuple(range(1, 13))],
                              ids=["none", "3-and-7", "all"])
-    def test_octave_rows_are_its_category_rows(self, monkeypatch, stored_first):
-        _empty_store(monkeypatch)
+    def test_octave_rows_are_its_category_rows(self, empty_store, stored_first):
+        # an octave's pass shares its rows with the categories it stores; a
+        # category stored before keeps its own table, with equal rows
+        empty_store(kernel=True)
         stored = {size: rank_table(JUST, "gradus", size) for size in stored_first}
         octaves = {name: rank_table(JUST, name) for name in LCM_MEASURES}
         for size, table in stored.items():
             assert rank_table(JUST, "gradus", size) is table, size
         for name, octave in octaves.items():
-            rows = {id(row) for size in range(1, 13) for row in rank_table(JUST, name, size).rows}
-            assert len(rows) == 2048 and {id(row) for row in octave.rows} == rows, name
+            rows = [row for size in range(1, 13) for row in rank_table(JUST, name, size).rows]
+            assert len(rows) == 2048, name
+            if stored_first:
+                assert set(octave.rows) == set(rows), name
+            else:
+                assert {id(row) for row in octave.rows} == set(map(id, rows)), name
+
+    @pytest.mark.parametrize("stored_first", [(), (3, 7), tuple(range(1, 13))],
+                             ids=["none", "3-and-7", "all"])
+    @pytest.mark.parametrize("name", LCM_MEASURES)
+    def test_octave_query_replaces_no_table(self, empty_store, name, stored_first):
+        # every table returned before the octaves of the pass is the one
+        # returned after them, and so is each octave
+        empty_store(kernel=True)
+        before = {(name, size): rank_table(JUST, name, size) for size in stored_first}
+        before.update({(measure, None): rank_table(JUST, measure)
+                       for measure in [name, *LCM_MEASURES]})
+        for (measure, size), table in before.items():
+            assert rank_table(JUST, measure, size) is table, (measure, size)
 
     @pytest.mark.parametrize("tuning", PINNED_TUNINGS, ids=PINNED_IDS)
-    def test_pairwise_categories_are_equal_in_any_order(self, monkeypatch, tuning):
+    def test_pairwise_categories_are_equal_in_any_order(self, empty_store, tuning):
         # every category reads the tuning's one table of interval folds,
         # whichever category builds it
         queries = [(name, size) for size in range(2, 13) for name in ("similarity", "brefeld")]
 
         def ranked(order):
-            _empty_store(monkeypatch)
+            empty_store(kernel=True)
             for name, size in order:
                 rank_table(tuning, name, size)
             return {query: rank_table(tuning, *query) for query in queries}
@@ -414,8 +420,8 @@ class TestRankedColumn:
         assert ranked(shuffled) == in_order
 
     @pytest.mark.parametrize("name", ["similarity", "brefeld"])
-    def test_failed_full_table_stores_nothing(self, monkeypatch, name):
-        _empty_store(monkeypatch)
+    def test_failed_full_table_stores_nothing(self, empty_store, name):
+        empty_store(kernel=True)
         with pytest.raises(UndefinedMeasureError):
             rank_table(JUST, name)
         assert enumeration._COLUMNS == {}
@@ -425,8 +431,8 @@ class TestRankedColumn:
             rank_table(JUST, name)
         assert enumeration._COLUMNS == stored
 
-    def test_failed_full_table_leaves_categories_correct(self, monkeypatch):
-        _empty_store(monkeypatch)
+    def test_failed_full_table_leaves_categories_correct(self, empty_store):
+        empty_store(kernel=True)
         with pytest.raises(UndefinedMeasureError):
             rank_table(JUST, "similarity")
         rows = rank_table(JUST, "similarity", 3).rows
@@ -441,9 +447,9 @@ class TestRankedColumn:
     # tones, so under 'equal' the CLI names the tuning, not the lone tone
     # {0}, which a pairwise measure also rejects; evaluate_measure still
     # counts the tones first
-    def test_tuning_error_comes_before_the_lone_tone_error(self, monkeypatch):
+    def test_tuning_error_comes_before_the_lone_tone_error(self, empty_store):
         equal = builtin_tuning("equal")
-        _empty_store(monkeypatch)
+        empty_store(kernel=True)
         for cardinality in (None, 1):
             for name in MEASURES:
                 with pytest.raises(TuningError, match="'equal' has irrational ratios"):
@@ -568,3 +574,8 @@ class TestTopShareCount:
             top_share_count(100, 0.0)
         with pytest.raises(UsageError):
             top_share_count(100, 1.1)
+
+    @pytest.mark.parametrize("size", [True, 10.5, Size.TRIAD], ids=["bool", "float", "int-subclass"])
+    def test_category_size_must_be_a_plain_int(self, size):
+        with pytest.raises(UsageError, match=f"^category_size must be an integer, got {size!r}$"):
+            top_share_count(size, 0.5)

@@ -124,6 +124,22 @@ def test_enumeration_ranks_cold_columns_in_one_place():
         f"enumeration.py calls _column_values on lines {kernel} and maps _row on lines {rows}")
 
 
+def test_enumeration_stores_tables_only_through_setdefault():
+    # no pass replaces a stored table, so a table returned once is the same
+    # object later: past its definition, _COLUMNS is only read or given a
+    # table through setdefault
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text(encoding="utf-8"))
+    parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = [parents[id(node)] for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_COLUMNS"]
+    writes = [f"{use.lineno}: {ast.unparse(use)}" for use in uses
+              if not (isinstance(use, ast.Attribute) and use.attr in ("get", "setdefault")
+                      or isinstance(use, ast.Subscript) and isinstance(use.ctx, ast.Load)
+                      or isinstance(use, ast.AnnAssign) and use in tree.body)]
+    assert writes == [], f"enumeration.py uses _COLUMNS other than by setdefault: {writes}"
+    assert any(isinstance(use, ast.Attribute) and use.attr == "setdefault" for use in uses)
+
+
 def test_pairwise_terms_are_written_once():
     # an interval a/b's similarity weight and Brefeld factor serve both
     # evaluate_measure and the column kernel's fold table

@@ -133,6 +133,11 @@ class TestInversions:
         with pytest.raises(UsageError):
             inversion_offsets(Harmony((0, 4, 7)), 3)
 
+    @pytest.mark.parametrize("i", [1.0, True], ids=["float", "bool"])
+    def test_index_must_be_a_plain_int(self, i):
+        with pytest.raises(UsageError, match=f"^inversion index {i} out of range for \\{{0,4,7\\}}$"):
+            inversion_offsets(Harmony((0, 4, 7)), i)
+
 
 class TestAnalyze:
     def test_worked_triad(self):
@@ -238,6 +243,11 @@ class TestFundamental:
     def test_positive_frequency_required(self):
         with pytest.raises(UsageError):
             fundamental_frequency(Harmony((0, 7)), JUST, 0.0)
+
+    @pytest.mark.parametrize("f1", [math.nan, math.inf])
+    def test_finite_frequency_required(self, f1):
+        with pytest.raises(UsageError, match=f"^fundamental_frequency\\(\\) needs a finite f1, got {f1!r}$"):
+            fundamental_frequency(Harmony((0, 7)), JUST, f1)
 
 
 class TestSerialization:

@@ -95,6 +95,11 @@ class TestBuiltins:
         with pytest.raises(UsageError, match="needs a semitone in 0..12"):
             deviation(builtin_tuning("just"), k)
 
+    @pytest.mark.parametrize("k", [1.0, True], ids=["float", "bool"])
+    def test_deviation_needs_a_plain_int(self, k):
+        with pytest.raises(UsageError, match=f"^deviation\\(\\) needs a semitone in 0..12, got {k!r}$"):
+            deviation(builtin_tuning("just"), k)
+
     def test_thirteen_interval_names(self):
         assert len(INTERVAL_NAMES) == 13
         assert INTERVAL_NAMES[0] == "unison"
@@ -195,6 +200,11 @@ class TestRatioForSemitone:
     def test_equal_temperament_rejected(self):
         with pytest.raises(TuningError):
             ratio_for_semitone(builtin_tuning("equal"), 7)
+
+    @pytest.mark.parametrize("n", [1.5, 7.0, True], ids=["fraction", "float", "bool"])
+    def test_offset_must_be_a_plain_int(self, n):
+        with pytest.raises(UsageError, match=f"^semitone offset must be an integer, got {n!r}$"):
+            ratio_for_semitone(builtin_tuning("just"), n)
 
     @given(st.integers(-30, 30))
     def test_octave_shift_doubles(self, n):

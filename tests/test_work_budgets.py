@@ -94,13 +94,11 @@ def test_correlate_ratio_lookups(monkeypatch):
     assert len(calls) <= 2044, "ratio_for_semitone calls of correlate over 4 datasets x 6 measures"
 
 
-def test_cold_scan_ratio_lookups(monkeypatch):
+def test_cold_scan_ratio_lookups(empty_store, monkeypatch):
     # a cold scan: every measure under just and rational, the pairwise
     # measures per cardinality 2..12 (they reject {0}), the others over the
     # whole octave
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    for name in ("_octave_pairs", "_interval_folds"):
-        monkeypatch.setattr(measures, name, cache(getattr(measures, name).__wrapped__))
+    empty_store(kernel=True)
     calls = counted(monkeypatch, tuning, "ratio_for_semitone")
     for t in (JUST, builtin_tuning("rational")):
         for measure in MEASURES:
@@ -112,11 +110,11 @@ def test_cold_scan_ratio_lookups(monkeypatch):
     assert len(calls) <= 46, "ratio_for_semitone calls of a cold scan of 6 measures x 2 tunings"
 
 
-def test_cold_pairwise_scan_folds_each_tuning_once(monkeypatch):
+def test_cold_pairwise_scan_folds_each_tuning_once(empty_store, monkeypatch):
     # the 44 pairwise categories of a cold scan, 2..12 tones of similarity
     # and brefeld under just and rational, read one table of interval folds
     # per tuning
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    empty_store()
     builds = []
     build = measures._interval_folds.__wrapped__
 
@@ -235,8 +233,8 @@ def test_oracle_cosines_never_exceed_the_top_tone_step(monkeypatch, harmony, hor
         top_tone_step_cosines(stack, horizon)), "cosines of detect_period"
 
 
-def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+def test_cold_gradus_columns_factor_each_product_once(empty_store, monkeypatch):
+    empty_store()
     products = counted(monkeypatch, measures, "_gradus_omega")
     terms = counted(monkeypatch, measures, "prime_factor_multiset")
     for size in range(1, 13):
@@ -247,8 +245,8 @@ def test_cold_gradus_columns_factor_each_product_once(monkeypatch):
     assert max(n for (n,) in terms) <= 16, "a term of just's pair table, not a product"
 
 
-def test_cold_octave_column_is_one_kernel_call(monkeypatch):
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+def test_cold_octave_column_is_one_kernel_call(empty_store, monkeypatch):
+    empty_store()
     calls = counted(monkeypatch, enumeration, "_column_values")
     rank_table(JUST, "log_periodicity")
     assert [len(harmonies) for harmonies, _, _ in calls] == [2048], (
@@ -261,8 +259,8 @@ LCM_MEASURES = ["rel_periodicity", "log_periodicity", "gradus", "omega"]
 
 
 @pytest.mark.parametrize("first", LCM_MEASURES)
-def test_cold_octave_lcm_columns_are_one_pass(monkeypatch, first):
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+def test_cold_octave_lcm_columns_are_one_pass(empty_store, monkeypatch, first):
+    empty_store()
     kernel_calls = counted(monkeypatch, enumeration, "_column_values")
     passes = counted(monkeypatch, measures, "_prefix_states")
     for measure in [first, *(m for m in LCM_MEASURES if m != first)]:
@@ -285,10 +283,10 @@ def counted_sorts(monkeypatch):
     return calls
 
 
-def test_cold_lcm_octaves_sort_twice_per_measure(monkeypatch):
+def test_cold_lcm_octaves_sort_twice_per_measure(empty_store, monkeypatch):
     # the first octave's pass ranks all four measures, each by value and then
     # by tone count, and stores its siblings' octaves
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    empty_store()
     sorts = counted_sorts(monkeypatch)
     kernel_calls = counted(monkeypatch, enumeration, "_column_values")
     rank_table(JUST, "gradus")
@@ -302,20 +300,9 @@ def test_cold_lcm_octaves_sort_twice_per_measure(monkeypatch):
         "sorts and kernel calls of the three sibling octaves")
 
 
-def test_octave_of_stored_categories_is_one_sort(monkeypatch):
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    for size in range(1, 13):
-        rank_table(JUST, "gradus", size)
-    sorts = counted_sorts(monkeypatch)
-    kernel_calls = counted(monkeypatch, enumeration, "_column_values")
-    rank_table(JUST, "gradus")
-    assert (len(sorts), len(kernel_calls)) == (1, 0), (
-        "sorts and kernel calls of a gradus octave with its 12 categories stored")
-
-
-def test_cold_category_sorts_once_per_measure(monkeypatch):
+def test_cold_category_sorts_once_per_measure(empty_store, monkeypatch):
     # one category's value order is already grouped by tone count
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+    empty_store()
     sorts = counted_sorts(monkeypatch)
     kernel_calls = counted(monkeypatch, enumeration, "_column_values")
     rank_table(JUST, "gradus", 7)
@@ -323,24 +310,27 @@ def test_cold_category_sorts_once_per_measure(monkeypatch):
         "sorts and kernel calls of a cold gradus category under just")
 
 
-def test_octave_of_some_stored_categories_ranks_the_rest_in_one_pass(monkeypatch):
-    # the 10 missing categories are one kernel call and two sorts per measure
-    # of the pass, then the octave is one sort of all 12 categories' rows
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
-    for size in (3, 7):
+@pytest.mark.parametrize("stored_first", [(), (3, 7), tuple(range(1, 13))],
+                         ids=["none", "3-and-7", "all"])
+def test_octave_is_one_pass_whatever_was_stored(empty_store, monkeypatch, stored_first):
+    # a cold octave ranks all 12 categories in one kernel call and two sorts
+    # per measure of the pass, whichever of its categories were stored
+    empty_store()
+    for size in stored_first:
         rank_table(JUST, "gradus", size)
     sorts = counted_sorts(monkeypatch)
     kernel_calls = counted(monkeypatch, enumeration, "_column_values")
     rank_table(JUST, "gradus")
-    assert [len(harmonies) for harmonies, _, _ in kernel_calls] == [2048 - 55 - 462], (
-        "one _column_values call over the 10 categories not stored")
-    assert len(sorts) == 9, "sorts of a gradus octave with categories 3 and 7 stored"
+    assert [len(harmonies) for harmonies, _, _ in kernel_calls] == [2048], (
+        "one _column_values call over the octave's harmonies")
+    assert len(sorts) == 8, f"sorts of a gradus octave with categories {stored_first} stored"
 
 
 @pytest.mark.parametrize("measure", ["rel_periodicity", "gradus"])
 @pytest.mark.parametrize("cardinality, budget", [(3, 65), (12, 11)])
-def test_cold_category_builds_only_its_prefix_states(monkeypatch, cardinality, budget, measure):
-    monkeypatch.setattr(enumeration, "_COLUMNS", {})
+def test_cold_category_builds_only_its_prefix_states(empty_store, monkeypatch, cardinality, budget,
+                                                     measure):
+    empty_store()
     built = []
     prefix_states = measures._prefix_states
 
