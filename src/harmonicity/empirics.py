@@ -259,7 +259,7 @@ def significance(r: float, n: int) -> float:
     """
     if type(n) is not int or n < 3:
         raise UsageError(f"significance() needs n >= 3, got {n!r}")
-    if not -1.0 <= r <= 1.0:
+    if type(r) is bool or not -1.0 <= r <= 1.0:  # a bool is no correlation
         raise UsageError(f"significance() needs r in [-1, 1], got {r!r}")
     if r == 1.0:
         return 0.0
@@ -314,13 +314,8 @@ def _regularized_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     if x >= 1.0:
         return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log1p(-x))
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
@@ -386,7 +381,9 @@ def correlate_measure(
     """
     if mode not in ("ranks", "values"):
         raise UsageError(f"mode must be 'ranks' or 'values', got {mode!r}")
-    rating_orientation = _DATASETS[dataset.id].rating
+    if mode == "values" and dataset.id not in _DATASETS:  # ranks need no orientation
+        raise UsageError(f"dataset {dataset.id!r} is not built in: its rating orientation is unknown")
+    rating_orientation = _DATASETS[dataset.id].rating if mode == "values" else None
     if mode == "values" and rating_orientation is None:
         raise UsageError(f"dataset {dataset.id!r} has no ordinal ratings")
     if measure in MEASURES:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import UsageError
-from .measures import MEASURES, _column_values, _tone_tuples, lookup_measure
+from .measures import MEASURES, _column_values, _tone_sets, lookup_measure
 from .periodicity import Harmony
 from .tuning import TuningTable
 
@@ -73,9 +73,14 @@ def _check_cardinality(cardinality: int) -> None:
 @cache
 def _category(size: int) -> tuple[Harmony, ...]:
     """The octave's harmonies with ``size`` tones in lexicographic order,
-    built once and shared by enumerate_harmonies and every ranked column.
-    Their semitone tuples are the column kernel's tone-set keys."""
-    return tuple(map(Harmony, _tone_tuples(size)))
+    built once from the keys of the column kernel's tone-set index and
+    shared by enumerate_harmonies and every ranked column.  The index built
+    those tuples valid, so each harmony is made without ``Harmony``'s checks."""
+    start = sum(map(math.comb, repeat(11), range(size - 1)))  # the smaller sets come first
+    harmonies = tuple(map(object.__new__, repeat(Harmony, math.comb(11, size - 1))))
+    for harmony, tones in zip(harmonies, islice(_tone_sets(), start, None)):
+        object.__setattr__(harmony, "semitones", tones)
+    return harmonies
 
 
 @cache
@@ -217,6 +222,6 @@ def top_share_count(category_size: int, fraction: float) -> int:
         raise UsageError(f"category_size must be an integer, got {category_size!r}")
     if category_size < 1:
         raise UsageError(f"category_size must be >= 1, got {category_size!r}")
-    if not 0 < fraction <= 1:
+    if type(fraction) is bool or not 0 < fraction <= 1:  # a bool is no fraction
         raise UsageError(f"fraction must be in (0, 1], got {fraction!r}")
     return max(1, math.floor(category_size * fraction))

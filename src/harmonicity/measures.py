@@ -234,22 +234,16 @@ def _octave_pairs(t: TuningTable) -> dict[int, tuple[int, int]]:
 
 
 @cache
-def _tone_tuples(size: int) -> tuple[tuple[int, ...], ...]:
-    """The one-octave tone sets of ``size`` tones, 0 and ``size - 1`` of
-    1..11 in ascending order, in lexicographic order.  These are the tuples
-    of every enumerated harmony and the keys of :func:`_tone_sets`, built
-    once per tone set."""
-    return tuple((0,) + rest for rest in combinations(range(1, 12), size - 1))
-
-
-@cache
 def _tone_sets() -> dict[tuple[int, ...], int]:
-    """The index of every one-octave tone set of :func:`_tone_tuples`: tone
-    n >= 1 is bit n - 1 of the index, so set ``i + 2 ** (n - 1)`` is set
-    ``i`` with the new top tone n."""
+    """The index of every one-octave tone set, the one list of them: its
+    keys, 0 and ascending tones of 1..11, are grouped by tone count and
+    lexicographic within each count, and are the semitone tuples of every
+    enumerated harmony, built once.  Tone n >= 1 is bit n - 1 of the
+    index, so set ``i + 2 ** (n - 1)`` is set ``i`` with the new top tone n."""
     bits = [2 ** (n - 1) for n in range(1, 12)]
     return dict(chain.from_iterable(
-        zip(_tone_tuples(size), map(sum, combinations(bits, size - 1))) for size in range(1, 13)))
+        zip(map((0,).__add__, combinations(range(1, 12), size)), map(sum, combinations(bits, size)))
+        for size in range(12)))
 
 
 @cache

@@ -77,7 +77,10 @@ class Harmony:
         if len(set(pitches)) != len(pitches):
             raise UsageError(f"duplicate tones in {pitches}")
         low = min(pitches, default=0)
-        return cls(tuple(sorted(p - low for p in pitches)))
+        harmony = cls(tuple(sorted(p - low for p in pitches)))
+        if any(type(p) is not int for p in pitches):  # the shift makes a bool an int
+            raise UsageError(f"harmony offsets must be integers, got {tuple(pitches)}")
+        return harmony
 
     def __len__(self) -> int:
         return len(self.semitones)

@@ -121,7 +121,7 @@ def rational_tuning(d: float) -> TuningTable:
         raise UsageError(
             f"rational_tuning() needs a deviation bound in (0, 0.06), got {d!r}"
         )
-    ratios = tuple(approximate(2.0 ** (k / 12), d).result for k in range(13))
+    ratios = tuple(approximate(ratio, d).result for ratio in _EQUAL.ratios)
     if any(b <= a for a, b in zip(ratios, ratios[1:])):
         raise TuningError(
             f"deviation bound {d:g} is too coarse: neighbouring semitones "
@@ -182,4 +182,4 @@ def deviation(t: TuningTable, k: int) -> float:
     """Signed deviation of ``ratios[k]`` from equal temperament, in percent."""
     if type(k) is not int or not 0 <= k <= 12:
         raise UsageError(f"deviation() needs a semitone in 0..12, got {k!r}")
-    return (float(t.ratios[k]) / 2.0 ** (k / 12) - 1.0) * 100.0
+    return (float(t.ratios[k]) / _EQUAL.ratios[k] - 1.0) * 100.0

@@ -30,6 +30,7 @@ from harmonicity.cli import main
 from harmonicity.empirics import (
     DATASET_IDS,
     REPRODUCTION_TARGETS,
+    EmpiricalDataset,
     measure_values,
 )
 
@@ -300,6 +301,12 @@ class TestSignificance:
         with pytest.raises(UsageError, match="in \\[-1, 1\\]"):
             significance(1.5, 10)
 
+    @pytest.mark.parametrize("r", [True, False])
+    def test_r_must_not_be_a_bool(self, r):
+        # True would read as r = 1 and give p = 0
+        with pytest.raises(UsageError, match=rf"^significance\(\) needs r in \[-1, 1\], got {r}$"):
+            significance(r, 5)
+
     def test_n_must_be_a_plain_int(self):
         class Count(int):
             pass
@@ -395,6 +402,22 @@ class TestCorrelateMeasure:
         with pytest.raises(UsageError, match="has no ordinal ratings"):
             correlate_measure(load_dataset("dyads"), "rel_periodicity", JUST, mode="values")
         assert evaluated == []
+
+    def test_ranks_mode_reads_a_dataset_it_did_not_load(self):
+        # ranks need no rating orientation, so an id outside the built-in
+        # datasets ranks like its source
+        dyads = load_dataset("dyads")
+        mine = EmpiricalDataset("mine", dyads.items, dyads.static_columns)
+        report = correlate_measure(mine, "rel_periodicity", JUST)
+        own = correlate_measure(dyads, "rel_periodicity", JUST)
+        assert (report.dataset, report.n, report.r, report.p) == ("mine", own.n, own.r, own.p)
+
+    def test_values_mode_names_a_dataset_it_did_not_load(self):
+        triads = load_dataset("triads")
+        mine = EmpiricalDataset("mine", triads.items, triads.static_columns)
+        with pytest.raises(UsageError, match="^dataset 'mine' is not built in: its rating "
+                                             "orientation is unknown$"):
+            correlate_measure(mine, "rel_periodicity", JUST, mode="values")
 
     def test_values_mode_skips_unrated_items(self):
         church = load_dataset("church_modes")

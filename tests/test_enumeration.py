@@ -575,6 +575,12 @@ class TestTopShareCount:
         with pytest.raises(UsageError):
             top_share_count(100, 1.1)
 
+    @pytest.mark.parametrize("fraction", [True, False])
+    def test_fraction_must_not_be_a_bool(self, fraction):
+        # True is no share of 1: it would make the whole category the top share
+        with pytest.raises(UsageError, match=rf"^fraction must be in \(0, 1\], got {fraction}$"):
+            top_share_count(10, fraction)
+
     @pytest.mark.parametrize("size", [True, 10.5, Size.TRIAD], ids=["bool", "float", "int-subclass"])
     def test_category_size_must_be_a_plain_int(self, size):
         with pytest.raises(UsageError, match=f"^category_size must be an integer, got {size!r}$"):

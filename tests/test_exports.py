@@ -1,10 +1,10 @@
 """Public surface: every exported name resolves, so deleting a function
 cannot leave a stale entry in an ``__all__``, every name the benchmark
 under ``perfbench/`` imports still exists, one module turns ratios into
-integer pairs, one states the oracle's float domain, the oracle looks up
-ratios in one function, ``reproduce`` builds its checks in two places,
-only the lexicographic layout of the octave sorts on semitones, and one
-routine ranks every cold column."""
+integer pairs, one states the oracle's float domain, only the oracle
+imports numpy, the oracle looks up ratios in one function, ``reproduce``
+builds its checks in two places, only the lexicographic layout of the
+octave sorts on semitones, and one routine ranks every cold column."""
 
 import ast
 import importlib
@@ -66,6 +66,18 @@ def test_only_the_oracle_states_its_float_domain():
                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
                      and "finite normal float range" in node.value})
     assert holders == ["signal_oracle.py"]
+
+
+def test_only_the_oracle_imports_numpy():
+    # numpy is most of the package's import time and only the oracle computes
+    # on arrays, so importing it lazily stays a change to one module
+    importers = sorted({path.name for path in PACKAGE.glob("*.py")
+                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                        if isinstance(node, ast.Import)
+                        and any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+                        or isinstance(node, ast.ImportFrom)
+                        and (node.module or "").partition(".")[0] == "numpy"})
+    assert importers == ["signal_oracle.py"]
 
 
 def test_oracle_looks_up_ratios_only_in_its_float_table():

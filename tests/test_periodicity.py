@@ -37,6 +37,10 @@ subsets = st.sets(st.integers(1, 11), min_size=0, max_size=11).map(
 )
 
 
+class Tone(int):
+    pass
+
+
 class TestHarmony:
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -78,6 +82,19 @@ class TestHarmony:
     def test_from_offsets_rejects_no_tones(self):
         with pytest.raises(UsageError, match="a harmony needs at least one tone"):
             Harmony.from_offsets([])
+
+    @pytest.mark.parametrize("offsets", [[True, 5], [0, True], [7, False, 4], [Tone(60), 64]],
+                             ids=repr)
+    def test_from_offsets_needs_plain_int_offsets(self, offsets):
+        # shifted, True - True is the int 0, which the constructor accepts;
+        # so is an int subclass, which the constructor rejects too
+        with pytest.raises(UsageError, match=r"^harmony offsets must be integers, got \("):
+            Harmony.from_offsets(offsets)
+
+    def test_from_offsets_keeps_the_constructor_message(self):
+        # an offset the constructor rejects after the shift is reported as before
+        with pytest.raises(UsageError, match=r"^harmony offsets must be integers, got \(0, 1\.5\)$"):
+            Harmony.from_offsets([True, 2.5])
 
     def test_str(self):
         assert str(Harmony((0, 3, 9))) == "{0,3,9}"

@@ -245,6 +245,20 @@ def test_cold_gradus_columns_factor_each_product_once(empty_store, monkeypatch):
     assert max(n for (n,) in terms) <= 16, "a term of just's pair table, not a product"
 
 
+def test_enumerated_harmonies_run_no_validation(monkeypatch):
+    # the tone-set index builds every tuple valid, so the 12 categories and
+    # the octave, built on emptied caches, run Harmony's checks 0 times
+    tone_sets = cache(measures._tone_sets.__wrapped__)
+    for module in (measures, enumeration):
+        monkeypatch.setattr(module, "_tone_sets", tone_sets)
+    for name in ("_category", "_octave"):
+        monkeypatch.setattr(enumeration, name, cache(getattr(enumeration, name).__wrapped__))
+    validations = counted(monkeypatch, Harmony, "__post_init__")
+    harmonies = list(enumerate_harmonies())
+    assert len(harmonies) == 2048 and validations == [], "Harmony checks of the enumerated harmonies"
+    assert harmonies == [Harmony(h.semitones) for h in harmonies]
+
+
 def test_cold_octave_column_is_one_kernel_call(empty_store, monkeypatch):
     empty_store()
     calls = counted(monkeypatch, enumeration, "_column_values")
