@@ -368,6 +368,36 @@ def test_outputs_are_unchanged(capsys, command):
     assert _digest(capsys, [shlex.split(command)]) == OUTPUT_DIGESTS[command]
 
 
+# SHA-256 of the JSON list [exit code, stdout, stderr] of each command at 80
+# columns under Python 3.11's argparse, taken while the parser still read its
+# dataset and target choices from `empirics`: the help of the program and of
+# every subcommand, and the invalid-choice errors of the two choices that
+# come from the dataset and reproduction-target registries
+HELP_DIGESTS = {
+    "--help": "9df39f9c89fe7d171081d280ba31805296c0d04869247bd2a934cab565671d3e",
+    "analyze --help": "9c8695cc38097e49ec8d361e2addc7380aa0297869da73db220e6529f69c9987",
+    "rank --help": "69642ed94c89265d10273ba2a136cd910de335edf81fcdc13af0f5b61e1ed6fe",
+    "correlate --help": "77592953c9280144b2ed079a5aa082786f976e760bb697afab68fbbb79d7be28",
+    "tuning --help": "fe6065117ffa16dd504b80f57917286901e5ad0983d21d2f05a12c2d537085ba",
+    "approximate --help": "029c5d579491ce657deabb0de2a114fa9971234edd23b14abe15c3f8dbe2c88c",
+    "oracle --help": "c2532d6bb2c5e2788fb83ea2a3550b7ebf7d7935263b0766f0e8690e16e7afef",
+    "reproduce --help": "802495d34765963ffab5f5f56b7810b18770748320a78f0c72eff7fc877d3b92",
+    "correlate --dataset nope": "0b3afe1d49b433ea0cd9df39626d0204013182b635a6bef80393a055415c656e",
+    "reproduce nope": "3a7d19c1672c404ca522f0f0ce525723da9af1b6ffa64708606f9d35dfcd4a5d",
+}
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_help_and_choice_errors_are_unchanged(capsys, monkeypatch, command):
+    # argparse wraps help at the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(shlex.split(command))
+    captured = capsys.readouterr()
+    result = [excinfo.value.code, captured.out, captured.err]
+    assert hashlib.sha256(json.dumps(result).encode()).hexdigest() == HELP_DIGESTS[command]
+
+
 def _correlate_argvs(dataset, tuning, mode):
     """`correlate` in each format naming all six measures and the dataset's
     columns (only the columns under `--tuning none`); a column with gaps
