@@ -7,12 +7,15 @@ Smaller h — faster repetition — correlates strongly with perceived
 consonance across dyads, triads and scales.  The package bundles the
 listening-test datasets, rival measures, a signal-level oracle, and a CLI
 to reproduce the published tables.
+
+The datasets and statistics (``empirics``) and the ranking of every
+one-octave harmony (``enumeration``) load on first use of one of their
+names, so a program that needs neither does not pay for them.
 """
 
-from . import (empirics, enumeration, errors, measures, periodicity, rationals,
-               signal_oracle, tuning)
-from .empirics import *
-from .enumeration import *
+import importlib
+
+from . import errors, measures, periodicity, rationals, signal_oracle, tuning
 from .errors import *
 from .measures import *
 from .periodicity import *
@@ -22,9 +25,23 @@ from .tuning import *
 
 __version__ = "0.1.0"
 
+# The modules that load on first use, each with its ``__all__``.
+_LAZY = {
+    "empirics": (
+        "DATASET_IDS", "CorrelationReport", "DatasetItem", "EmpiricalDataset",
+        "REPRODUCTION_TARGETS", "ReproductionCheck", "ReproductionReport",
+        "correlate_measure", "load_dataset", "pearson", "rank_with_ties", "reproduce",
+        "significance",
+    ),
+    "enumeration": (
+        "RankTable", "RankedRow", "enumerate_harmonies", "rank_table", "top_share_count",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
 __all__ = [
-    *empirics.__all__,
-    *enumeration.__all__,
+    *_LAZY["empirics"],
+    *_LAZY["enumeration"],
     *errors.__all__,
     *measures.__all__,
     *periodicity.__all__,
@@ -33,3 +50,20 @@ __all__ = [
     *tuning.__all__,
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Load a lazy module on first use of it or of a name it exports."""
+    module = _HOME.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import``: that form looks the name up on
+    # this package first, which would call this function again
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_HOME})

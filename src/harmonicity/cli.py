@@ -30,15 +30,8 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
-from .enumeration import rank_table
-from .empirics import (
-    DATASET_IDS,
-    REPRODUCTION_TARGETS,
-    CorrelationReport,
-    correlate_measure,
-    load_dataset,
-    reproduce,
-)
+# empirics and enumeration load inside the subcommands that use them
+from ._ids import DATASET_IDS, REPRODUCTION_TARGETS
 from .errors import HarmonicityError, ParseError, UsageError
 from .measures import MEASURES
 from .periodicity import (
@@ -259,6 +252,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from .enumeration import rank_table
+
     t = _resolve_tuning(args.tuning, args.precision)
     table = rank_table(t, args.measure, args.cardinality, args.top)
     _emit(
@@ -290,6 +285,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
+    from .empirics import CorrelationReport, correlate_measure, load_dataset
+
     dataset = load_dataset(args.dataset)
     t = None if args.tuning == "none" else _resolve_tuning(args.tuning)
     reports = [
@@ -396,6 +393,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .empirics import reproduce
+
     report = reproduce(args.target, args.tuning)
 
     def text() -> list[str]:

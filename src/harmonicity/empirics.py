@@ -35,6 +35,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
+from ._ids import DATASET_IDS, REPRODUCTION_TARGETS
 from .errors import DataError, UsageError
 from .measures import MEASURES, evaluate_measure
 from .periodicity import MAX_SPAN
@@ -68,28 +69,26 @@ class _DatasetSpec:
     rating: int | None
 
 
-# Ratings of both triad sets grow with dissonance, church-mode ratings with
-# preference; dyads have no rating column.
-_DATASETS: dict[str, _DatasetSpec] = {
-    "dyads": _DatasetSpec(
+# One spec per id of DATASET_IDS, in its order.  Ratings of both triad sets
+# grow with dissonance, church-mode ratings with preference; dyads have no
+# rating column.
+_DATASETS: dict[str, _DatasetSpec] = dict(zip(DATASET_IDS, (
+    _DatasetSpec(
         ("roughness", "sonance_factor", "similarity", "rel_periodicity"), 13, None,
     ),
-    "triads": _DatasetSpec(
+    _DatasetSpec(
         ("rating", "roughness", "instability", "similarity", "rel_periodicity",
          "dual_process"), 13, 1,
     ),
-    "complete_triads": _DatasetSpec(
+    _DatasetSpec(
         ("rating", "roughness", "similarity", "rel_periodicity", "log_periodicity",
          "dual_process"), 19, 1,
     ),
-    "church_modes": _DatasetSpec(
+    _DatasetSpec(
         ("rating", "sonance_factor", "similarity", "log_periodicity_just",
          "log_periodicity_rational"), 7, -1,
     ),
-}
-
-#: Valid arguments to :func:`load_dataset`.
-DATASET_IDS = tuple(_DATASETS)
+), strict=True))
 
 # Orientation of the static columns that grow with consonance; every other
 # static column grows with dissonance (+1).  A column named after a measure
@@ -397,7 +396,7 @@ def correlate_measure(
         x = rank_with_ties([item.empirical for item in dataset.items])
         y = rank_with_ties(values)
     else:
-        ratings = dataset.static_columns["rating"]
+        ratings = dataset.column("rating")
         paired = [(r_, v) for r_, v in zip(ratings, values) if r_ is not None]
         x = [rating_orientation * r_ for r_, _ in paired]
         y = [v for _, v in paired]
@@ -440,13 +439,13 @@ class _GoldenCorrelation:
 
 _G = _GoldenCorrelation
 
-# Each reproduction target: its dataset, the golden measure columns
-# recomputed cell by cell as (column name, measure, tuning, tolerance), and
-# its published correlation rows.
+# Each reproduction target of REPRODUCTION_TARGETS, in its order: its
+# dataset, the golden measure columns recomputed cell by cell as (column
+# name, measure, tuning, tolerance), and its published correlation rows.
 _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
-                          tuple[_GoldenCorrelation, ...]]] = {
+                          tuple[_GoldenCorrelation, ...]]] = dict(zip(REPRODUCTION_TARGETS, (
     # footer of the main ranking table
-    "table2": ("dyads", (
+    ("dyads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("similarity", "similarity", "just", 0.005),
     ), (
@@ -456,7 +455,7 @@ _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
         _G("relative periodicity", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
     )),
     # footer of the main ranking table
-    "table3": ("triads", (
+    ("triads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("similarity", "similarity", "just", 0.005),
     ), (
@@ -467,7 +466,7 @@ _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
         _G("dual process", "dual_process", None, "ranks", 0.791, 0.0006),
     )),
     # all 19 root-position three-tone chords
-    "table4": ("complete_triads", (
+    ("complete_triads", (
         ("rel_periodicity", "rel_periodicity", "just", 0.05),
         ("log_periodicity", "log_periodicity", "just", 0.001),
         ("similarity", "similarity", "just", 0.005),
@@ -483,7 +482,7 @@ _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
         _G("dual process", "dual_process", None, "ranks", 0.916, 0.0000),
     )),
     # heptatonic scales
-    "table6": ("church_modes", (
+    ("church_modes", (
         ("log_periodicity_just", "log_periodicity", "just", 0.001),
         ("log_periodicity_rational", "log_periodicity", "rational", 0.001),
     ), (
@@ -493,7 +492,7 @@ _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
         _G("logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.964, 0.0002),
     )),
     # full correlation survey
-    "cor2": ("dyads", (), (
+    ("dyads", (), (
         _G("sonance factor", "sonance_factor", None, "ranks", 0.982, 0.0000),
         _G("relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.982, 0.0000),
         _G("logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.982, 0.0000),
@@ -513,7 +512,7 @@ _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
         _G("complex tonalness", None, None, "ranks", 0.738, 0.0020, "external"),
     )),
     # full correlation survey
-    "cor3": ("triads", (), (
+    ("triads", (), (
         _G("relative periodicity (just)", "rel_periodicity", "just", "ranks", 0.846, 0.0001),
         _G("logarithmic periodicity (just)", "log_periodicity", "just", "ranks", 0.831, 0.0002),
         _G("logarithmic periodicity (rational)", "log_periodicity", "rational", "ranks", 0.813, 0.0004),
@@ -533,10 +532,7 @@ _TARGETS: dict[str, tuple[str, tuple[tuple[str, str, str, float], ...],
         _G("sonance factor", None, None, "ranks", 0.434, 0.0692, "external"),
         _G("roughness", "roughness", None, "ranks", 0.352, 0.1193),
     )),
-}
-
-#: Valid arguments to :func:`reproduce`.
-REPRODUCTION_TARGETS = tuple(_TARGETS)
+), strict=True))
 
 _TOLERANCE_R = 0.005
 _TOLERANCE_P = 0.0005

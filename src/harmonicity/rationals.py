@@ -115,7 +115,7 @@ def approximate(x: Real, p: Real) -> ApproximationTrace:
     """
     if isinstance(x, float) and not math.isfinite(x):
         raise UsageError(f"approximate() needs a finite x, got {x!r}")
-    if x <= 0:
+    if type(x) is bool or x <= 0:  # a bool is no number
         raise UsageError(f"approximate() needs x > 0, got {x!r}")
     # a subnormal x has no answer within the budget (its denominator would
     # exceed 1/(2x) > 10**307)

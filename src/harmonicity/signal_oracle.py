@@ -115,7 +115,7 @@ def autocorrelation(s: ToneStack, tau: float) -> float:
     >>> autocorrelation(ToneStack((440.0, 550.0, 660.0)), 4 / 440)
     1.5
     """
-    if tau < 0:
+    if type(tau) is bool or tau < 0:  # a bool is no lag
         raise UsageError(f"autocorrelation() needs tau >= 0, got {tau!r}")
     # the top tone's phase is the largest; an infinite or nan one has no cosine
     _check_float_domain(s.frequencies[0], (s.angular_frequencies[-1] * tau,), least=0.0)
@@ -160,7 +160,7 @@ def detect_period(s: ToneStack, search_horizon: float = _DEFAULT_HORIZON) -> flo
     >>> detect_period(stack, 1450) == 1440 * stack.lowest_period
     True
     """
-    if not search_horizon >= 1:
+    if type(search_horizon) is bool or not search_horizon >= 1:  # a bool is no horizon
         raise UsageError(
             f"detect_period() needs a horizon of at least 1 lowest-tone period, "
             f"got {search_horizon!r}"

@@ -419,6 +419,14 @@ class TestCorrelateMeasure:
                                              "orientation is unknown$"):
             correlate_measure(mine, "rel_periodicity", JUST, mode="values")
 
+    def test_values_mode_names_a_built_in_dataset_without_ratings(self):
+        # the id is built in, so its rating orientation is known, but the
+        # dataset holds no rating column
+        triads = load_dataset("triads")
+        bare = EmpiricalDataset("triads", triads.items, {})
+        with pytest.raises(UsageError, match="^dataset 'triads' has no column 'rating'"):
+            correlate_measure(bare, "rel_periodicity", JUST, mode="values")
+
     def test_values_mode_skips_unrated_items(self):
         church = load_dataset("church_modes")
         report = correlate_measure(church, "log_periodicity", JUST, mode="values")

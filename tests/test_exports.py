@@ -1,5 +1,7 @@
 """Public surface: every exported name resolves, so deleting a function
-cannot leave a stale entry in an ``__all__``, every name the benchmark
+cannot leave a stale entry in an ``__all__``, the package exports every
+module's names in order and loads ``empirics`` and ``enumeration`` only
+when they are used, every name the benchmark
 under ``perfbench/`` imports still exists, one module turns ratios into
 integer pairs, one states the oracle's float domain, only the oracle
 imports numpy, the oracle looks up ratios in one function, ``reproduce``
@@ -9,12 +11,18 @@ octave sorts on semitones, and one routine ranks every cold column."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import harmonicity
+from harmonicity._ids import DATASET_IDS, REPRODUCTION_TARGETS
 
 MODULES = [harmonicity] + [
     importlib.import_module(f"harmonicity.{info.name}")
@@ -37,6 +45,85 @@ def test_package_exports_are_unique():
     assert len(set(harmonicity.__all__)) == len(harmonicity.__all__)
 
 
+def test_package_exports_each_modules_names_in_order():
+    # the package writes out the names of the modules it loads on first use,
+    # so this keeps them equal to those modules' own lists
+    modules = ["empirics", "enumeration", "errors", "measures", "periodicity", "rationals",
+               "signal_oracle", "tuning"]
+    names = chain.from_iterable(importlib.import_module(f"harmonicity.{name}").__all__
+                                for name in modules)
+    assert harmonicity.__all__ == [*names, "__version__"]
+    assert len(harmonicity.__all__) == 49
+
+
+def test_package_resolves_a_lazy_name_to_its_modules_object():
+    assert harmonicity.load_dataset is harmonicity.empirics.load_dataset
+    assert harmonicity.rank_table is harmonicity.enumeration.rank_table
+    with pytest.raises(AttributeError, match="^module 'harmonicity' has no attribute 'nope'$"):
+        harmonicity.nope
+
+
+LAZY = {"harmonicity.empirics", "harmonicity.enumeration"}
+
+
+def _child(*args):
+    """Run ``python ARGS...`` in a fresh interpreter from this package's
+    source root; return its stdout and the modules it imported, read from
+    ``-X importtime``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc.stdout, imported
+
+
+# which of the lazy modules each subcommand loads
+SUBCOMMAND_LOADS = {
+    "analyze --chord 0,4,7": set(),
+    "tuning just": set(),
+    "approximate --value 1.5 --precision 0.01": set(),
+    "oracle --chord 0,4,7": set(),
+    "rank --cardinality 3 --top 1": {"harmonicity.enumeration"},
+    "correlate --dataset dyads --measure roughness": {"harmonicity.empirics"},
+    "reproduce table2": {"harmonicity.empirics"},
+}
+
+
+@pytest.mark.parametrize("argv, loaded", SUBCOMMAND_LOADS.items(),
+                         ids=[argv.split()[0] for argv in SUBCOMMAND_LOADS])
+def test_each_subcommand_loads_only_the_modules_it_uses(argv, loaded):
+    _, imported = _child("-m", "harmonicity.cli", *argv.split())
+    assert imported & LAZY == loaded
+    assert "numpy" in imported  # the oracle still imports it with the package
+
+
+def test_a_bare_import_loads_the_lazy_modules_on_first_use():
+    # the child reads the lazy modules' names from its arguments
+    script = """if True:
+        import json, sys
+        import harmonicity
+        loaded = lambda: sorted(name for name in sys.modules if name in sys.argv[1:])
+        steps = [loaded()]
+        listed = set(harmonicity.__all__) <= set(dir(harmonicity))
+        steps.append(loaded())
+        names = {}
+        exec("from harmonicity import *", names)
+        names.pop("__builtins__")
+        bound = sorted(names) == sorted(harmonicity.__all__) and all(
+            value is getattr(harmonicity, name) for name, value in names.items())
+        steps.append(loaded())
+        print(json.dumps([steps, listed, bound, len(names)]))
+    """
+    out, _ = _child("-c", script, *sorted(LAZY))
+    steps, listed, bound, count = json.loads(out)
+    # neither the import nor dir() loads them; the star import loads both
+    assert steps == [[], [], sorted(LAZY)]
+    assert listed and bound and count == 49
+
+
 @pytest.mark.parametrize("script", ["worker.py", "pin.py"])
 def test_benchmark_imports_resolve(script):
     # the benchmark imports some names that nothing in the package calls
@@ -48,6 +135,21 @@ def test_benchmark_imports_resolve(script):
     assert imports
     missing = [name for name in imports if not _resolves(name)]
     assert missing == [], f"perfbench/{script} imports what the package no longer defines"
+
+
+def test_registry_ids_are_written_once():
+    # the CLI's choices and the registries of empirics read them from _ids.py;
+    # only a reproduction target names a dataset id again, as its dataset
+    writers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in (*DATASET_IDS, *REPRODUCTION_TARGETS):
+                writers.setdefault(node.value, []).append(path.name)
+    assert {target: writers[target] for target in REPRODUCTION_TARGETS} == {
+        target: ["_ids.py"] for target in REPRODUCTION_TARGETS}
+    assert {dataset: writers[dataset][0] for dataset in DATASET_IDS} == {
+        dataset: "_ids.py" for dataset in DATASET_IDS}
+    assert {name for dataset in DATASET_IDS for name in writers[dataset][1:]} == {"empirics.py"}
 
 
 def test_only_tuning_converts_ratios_to_integer_pairs():

@@ -159,6 +159,12 @@ class TestApproximate:
         with pytest.raises(UsageError):
             approximate(-2.0, 0.01)
 
+    @pytest.mark.parametrize("x", [True, False])
+    def test_x_must_not_be_a_bool(self, x):
+        # True would read as x = 1 and give 1
+        with pytest.raises(UsageError, match=rf"^approximate\(\) needs x > 0, got {x}$"):
+            approximate(x, 0.01)
+
     def test_precision_bounds(self):
         with pytest.raises(UsageError):
             approximate(1.5, 0.0)

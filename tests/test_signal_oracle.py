@@ -218,6 +218,12 @@ class TestAutocorrelation:
         with pytest.raises(UsageError):
             autocorrelation(ToneStack((440.0,)), -1e-6)
 
+    @pytest.mark.parametrize("tau", [True, False])
+    def test_lag_must_not_be_a_bool(self, tau):
+        # True would read as a lag of one second
+        with pytest.raises(UsageError, match=rf"^autocorrelation\(\) needs tau >= 0, got {tau}$"):
+            autocorrelation(ToneStack((440.0,)), tau)
+
     @pytest.mark.parametrize("tau", [math.inf, 1e308, math.nan])
     @pytest.mark.filterwarnings("error")
     def test_lag_past_float_range_rejected(self, tau):
@@ -280,6 +286,13 @@ class TestDetectPeriod:
     def test_horizon_validation(self):
         with pytest.raises(UsageError):
             detect_period(ToneStack((440.0,)), search_horizon=0.5)
+
+    @pytest.mark.parametrize("horizon", [True, False])
+    def test_horizon_must_not_be_a_bool(self, horizon):
+        # True would scan one lowest-tone period
+        with pytest.raises(UsageError, match=r"^detect_period\(\) needs a horizon of at least 1 "
+                                             rf"lowest-tone period, got {horizon}$"):
+            detect_period(ToneStack((440.0,)), horizon)
 
     def test_last_lag_past_float_range_rejected(self):
         # a valid stack whose 1000th lowest-tone period overflows to inf
