@@ -66,4 +66,5 @@ def __getattr__(name: str) -> object:
 
 
 def __dir__() -> list[str]:
+    """The package's names, those of the modules not loaded yet included."""
     return sorted({*globals(), *_LAZY, *_HOME})
