@@ -16,6 +16,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from itertools import chain
 from pathlib import Path
 
@@ -102,7 +103,7 @@ def test_each_subcommand_loads_only_the_modules_it_uses(argv, loaded):
 
 def test_a_bare_import_loads_the_lazy_modules_on_first_use():
     # the child reads the lazy modules' names from its arguments
-    script = """if True:
+    script = textwrap.dedent("""
         import json, sys
         import harmonicity
         loaded = lambda: sorted(name for name in sys.modules if name in sys.argv[1:])
@@ -116,7 +117,7 @@ def test_a_bare_import_loads_the_lazy_modules_on_first_use():
             value is getattr(harmonicity, name) for name, value in names.items())
         steps.append(loaded())
         print(json.dumps([steps, listed, bound, len(names)]))
-    """
+    """)
     out, _ = _child("-c", script, *sorted(LAZY))
     steps, listed, bound, count = json.loads(out)
     # neither the import nor dir() loads them; the star import loads both
@@ -145,11 +146,11 @@ def test_registry_ids_are_written_once():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and node.value in (*DATASET_IDS, *REPRODUCTION_TARGETS):
                 writers.setdefault(node.value, []).append(path.name)
-    assert {target: writers[target] for target in REPRODUCTION_TARGETS} == {
-        target: ["_ids.py"] for target in REPRODUCTION_TARGETS}
-    assert {dataset: writers[dataset][0] for dataset in DATASET_IDS} == {
-        dataset: "_ids.py" for dataset in DATASET_IDS}
-    assert {name for dataset in DATASET_IDS for name in writers[dataset][1:]} == {"empirics.py"}
+    for target in REPRODUCTION_TARGETS:
+        assert writers[target] == ["_ids.py"], target
+    for dataset in DATASET_IDS:
+        assert writers[dataset].count("_ids.py") == 1, dataset
+        assert set(writers[dataset]) == {"_ids.py", "empirics.py"}, dataset
 
 
 def test_only_tuning_converts_ratios_to_integer_pairs():
